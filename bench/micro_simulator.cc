@@ -17,7 +17,6 @@
 #include "common/telemetry.hh"
 #include "common/thread_pool.hh"
 #include "nets/table1.hh"
-#include "plan/calibration.hh"
 #include "registry/registry.hh"
 #include "snn/routing.hh"
 #include "snn/simulator.hh"
@@ -415,9 +414,6 @@ main(int argc, char **argv)
     // unoptimized records.
     benchmark::AddCustomContext("project_build_type",
                                 FLEXON_BENCH_BUILD_TYPE);
-    benchmark::AddCustomContext(
-        "calibration_version",
-        flexon::plan::installCalibrationFromEnv());
     // Records whether the sampled invariant detectors were live for
     // this run, so the health-overhead A/B gate can label its sides.
     benchmark::AddCustomContext("health_monitors",

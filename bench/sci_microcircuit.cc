@@ -27,7 +27,6 @@
 
 #include "common/health.hh"
 #include "nets/potjans_diesmann.hh"
-#include "plan/calibration.hh"
 #include "registry/registry.hh"
 #include "snn/auto_engine.hh"
 #include "snn/routing.hh"
@@ -186,10 +185,6 @@ BENCHMARK(flexon::BM_MicrocircuitStep)
 int
 main(int argc, char **argv)
 {
-    // Install before any benchmark builds a session: the auto rows'
-    // engine choices come from the active calibration.
-    const std::string calibration =
-        flexon::plan::installCalibrationFromEnv();
     // FLEXON_HEALTH=0 disables the sampled invariant detectors: the
     // CI overhead gate A/Bs the default-on monitors against this.
     const char *const healthEnv = std::getenv("FLEXON_HEALTH");
@@ -206,7 +201,6 @@ main(int argc, char **argv)
     // refuses records from unoptimized builds.
     benchmark::AddCustomContext("project_build_type",
                                 FLEXON_BENCH_BUILD_TYPE);
-    benchmark::AddCustomContext("calibration_version", calibration);
     benchmark::AddCustomContext("health_monitors",
                                 healthOff ? "off" : "on");
     benchmark::AddCustomContext(

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "nets/table1.hh"
-#include "plan/calibration.hh"
 #include "snn/simulator.hh"
 
 #ifndef FLEXON_BENCH_BUILD_TYPE
@@ -349,9 +348,7 @@ parentMain(const char *self, const std::string &outPath,
        << "    \"executable\": \"" << self << "\",\n"
        << "    \"threads\": " << threads << ",\n"
        << "    \"project_build_type\": \"" FLEXON_BENCH_BUILD_TYPE
-          "\",\n"
-       << "    \"calibration_version\": \""
-       << plan::activeCalibration().version << "\"\n"
+          "\"\n"
        << "  },\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < entries.size(); ++i)
         os << "    " << entries[i]
@@ -368,9 +365,6 @@ parentMain(const char *self, const std::string &outPath,
 int
 main(int argc, char **argv)
 {
-    // Children inherit the variable, so every process in the sweep
-    // (and the record's context) sees the same calibration.
-    flexon::plan::installCalibrationFromEnv();
     std::string out = "BENCH_connectivity.json";
     size_t threads = 2;
     if (argc >= 2 && std::strcmp(argv[1], "--child") == 0) {

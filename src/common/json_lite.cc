@@ -64,32 +64,6 @@ MiniJson::parseNumber(double &out)
 }
 
 bool
-MiniJson::skipValue()
-{
-    skipWs();
-    if (pos_ >= text_.size())
-        return fail("unexpected end of document");
-    const char c = text_[pos_];
-    if (c == '"') {
-        std::string ignored;
-        return parseString(ignored);
-    }
-    if (c == '{') {
-        return parseObject([this](const std::string &) {
-            return skipValue();
-        });
-    }
-    if (c == 't' || c == 'f' || c == 'n') {
-        while (pos_ < text_.size() &&
-               std::isalpha(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        return true;
-    }
-    double ignored = 0.0;
-    return parseNumber(ignored);
-}
-
-bool
 MiniJson::atEnd()
 {
     skipWs();
@@ -106,19 +80,6 @@ MiniJson::fail(const std::string &why)
         error_ = why + " at offset " + std::to_string(pos_);
     }
     return false;
-}
-
-std::string
-jsonEscaped(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 } // namespace flexon

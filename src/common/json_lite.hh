@@ -2,16 +2,14 @@
  * @file
  * Minimal recursive-descent parser for the JSON subset the project's
  * config documents use: objects whose values are numbers, strings,
- * booleans/null, or nested objects of the same shape. No arrays, no
- * escapes beyond \" and \\ (version/host/model strings never need
- * more). Whitespace per RFC 8259.
+ * or nested objects of the same shape. No arrays, no escapes beyond
+ * \" and \\ (model names and docs never need more). Whitespace per
+ * RFC 8259.
  *
- * Hoisted out of src/plan/calibration.cc once the model-descriptor
- * loader (src/registry/model_file.cc) became the second consumer —
- * one tiny parser, shared, instead of N ad-hoc copies. Parsing is
- * non-throwing: the first failure latches failed()/error() and every
- * later call returns false, so callers chain parse steps and check
- * once at the end.
+ * Used by the model-descriptor loader (src/registry/model_file.cc).
+ * Parsing is non-throwing: the first failure latches
+ * failed()/error() and every later call returns false, so callers
+ * chain parse steps and check once at the end.
  */
 
 #ifndef FLEXON_COMMON_JSON_LITE_HH
@@ -45,7 +43,7 @@ class MiniJson
     /**
      * Parse an object, invoking onField(key) positioned at the
      * value; onField must consume the value (or return false to
-     * fail). Unknown keys are skipped via skipValue by the caller.
+     * fail). Callers reject unknown keys through fail().
      */
     template <typename Fn>
     bool parseObject(Fn &&onField)
@@ -70,9 +68,6 @@ class MiniJson
         }
     }
 
-    /** Skip any value of the supported subset (for unknown keys). */
-    bool skipValue();
-
     /**
      * After a successful top-level parse: require only whitespace to
      * the end of the document (rejects trailing garbage).
@@ -88,9 +83,6 @@ class MiniJson
     bool failed_ = false;
     std::string error_;
 };
-
-/** Backslash-escape the characters MiniJson's parseString handles. */
-std::string jsonEscaped(const std::string &s);
 
 } // namespace flexon
 

@@ -676,7 +676,7 @@ void
 writeReportJson(std::ostream &os, const ReportContext &context)
 {
     os << "{\n";
-    os << "  \"schema\": \"flexon-run-report-v5\",\n";
+    os << "  \"schema\": \"flexon-run-report-v6\",\n";
     os << "  \"build\": ";
     writeFields(os, buildFields(), 4);
     os << ",\n  \"telemetry\": ";

@@ -463,7 +463,7 @@ struct ReportContext
 };
 
 /**
- * Write a schema "flexon-run-report-v5" JSON document: build +
+ * Write a schema "flexon-run-report-v6" JSON document: build +
  * telemetry metadata, the caller's config/stats/extra sections, the
  * caller's registry under "metrics", the process registry under
  * "global_metrics", and the shared ThreadPool's lane accounting

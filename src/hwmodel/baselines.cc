@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "plan/calibration.hh"
 
 namespace flexon {
 
@@ -56,24 +55,23 @@ cpuComplexityFactor(const BenchmarkSpec &spec)
     return spec.solver == SolverKind::RKF45 ? 45.0 / 12.0 : 1.0;
 }
 
+/** Dense LLIF update cost of a batch kernel, ns per neuron. */
+constexpr double hostDenseNsPerNeuron = 4.0;
+
 /**
- * NEST on the paper's Xeon costs ~3x this host's calibrated dense
- * LLIF update for the Brunel anchor: NEST's ring-buffer bookkeeping
- * and virtual dispatch against our batch kernels. With the builtin
- * calibration (denseNsPerNeuron = 4.0) the product reproduces the
- * paper-anchored 12 ns Brunel figure exactly; a measured
- * calibration re-anchors the whole Figure 13 CPU column to the
- * actual machine.
+ * NEST on the paper's Xeon costs ~3x a batch-kernel dense LLIF
+ * update for the Brunel anchor: NEST's ring-buffer bookkeeping and
+ * virtual dispatch against our batch kernels. The product is the
+ * paper-anchored 12 ns Brunel figure.
  */
 constexpr double hostToNestFactor = 3.0;
 
-/** Calibration-anchored CPU cost in ns per neuron per step. */
+/** Paper-anchored CPU cost in ns per neuron per step. */
 double
 cpuNsPerNeuron(const BenchmarkSpec &spec)
 {
-    const double base =
-        plan::activeCalibration().model.denseNsPerNeuron;
-    return base * hostToNestFactor * cpuComplexityFactor(spec);
+    return hostDenseNsPerNeuron * hostToNestFactor *
+           cpuComplexityFactor(spec);
 }
 
 /** GPU per-neuron throughput cost and fixed per-step launch cost. */

@@ -17,12 +17,8 @@
  * per-benchmark spread follows the solver (RKF45 costs ~6x Euler in
  * derivative evaluations) and model complexity, mirroring Table I.
  *
- * The CPU column is anchored to the execution planner's calibration
- * (plan::activeCalibration): nsPerNeuron = measured dense LLIF
- * update cost x a NEST-overhead factor x a per-benchmark complexity
- * ratio. With the builtin calibration this reproduces the original
- * hand-coded table exactly; a measured calibration.json re-anchors
- * the Figure 13 comparison to the machine it actually ran on.
+ * The CPU column is nsPerNeuron = a 4 ns dense LLIF update x a
+ * NEST-overhead factor x a per-benchmark complexity ratio.
  */
 
 #ifndef FLEXON_HWMODEL_BASELINES_HH

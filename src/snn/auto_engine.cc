@@ -100,75 +100,47 @@ AutoSession::AutoSession(const Network &network,
                  why.c_str());
     }
 
-    // Plan from the caller's planner, or from the process-wide
-    // active calibration when none was supplied. The plan is copied
-    // — later setActiveCalibration() calls do not move a live
-    // session's crossover.
-    const plan::ExecutionPlanner fallback;
-    const plan::ExecutionPlanner &planner =
-        auto_.planner != nullptr ? *auto_.planner : fallback;
-    const plan::NetworkStats netStats{network_.numNeurons(),
-                                      network_.numSynapses()};
-    const unsigned maxThreads = static_cast<unsigned>(
-        std::max<size_t>(1, options_.threads));
-    plan_ = planner.plan(netStats, plan::kDefaultRatePrior,
-                         maxThreads);
-    planner_ = planner;
-    netStats_ = netStats;
-
     if (adaptive_) {
-        // Rate at which the planner predicts dense and event-driven
-        // step costs tie (common delivery terms cancel; with the
-        // builtin calibration this is the tuned 1 / (K + 1)).
-        crossoverRate_ = plan_.crossoverRate;
+        // Dense and event-driven step costs tie at r = 1 / (K + 1)
+        // (see the file comment). K is 0 for an empty network, which
+        // puts the crossover at 1: event-driven at every rate.
+        const double neurons =
+            static_cast<double>(network_.numNeurons());
+        const double fanOut =
+            neurons == 0.0
+                ? 0.0
+                : static_cast<double>(network_.numSynapses()) /
+                      neurons;
+        crossoverRate_ = std::clamp(1.0 / (fanOut + 1.0), 0.0, 1.0);
         // A fresh network is silent: start event-driven.
         startEvent = true;
     }
 
     child_ = makeEngine(startEvent);
     eventActive_ = startEvent;
-    applyPlanInfo();
+    // Report "plan" section; adoptSessionCore carries it across
+    // hand-offs.
+    PlanInfo info;
+    info.present = true;
+    info.strategy = adaptive_ ? "auto" : eventActive_ ? "event" : "dense";
+    info.crossoverRate = crossoverRate_;
+    child_->setPlanInfo(info);
     if (adaptive_) {
-        // Audit the implicit step-0 decision (the silent-network
-        // prior picking the event engine) alongside the windowed
-        // ones.
-        recordDecision(plan::kDefaultRatePrior, false);
+        // Audit the implicit step-0 decision (the silent network
+        // picking the event engine) alongside the windowed ones.
+        recordDecision(false);
     }
 }
 
 void
-AutoSession::recordDecision(double rate, bool switched)
+AutoSession::recordDecision(bool switched)
 {
-    const unsigned threads = static_cast<unsigned>(
-        std::max<size_t>(1, options_.threads));
     PlanDecision d;
     d.step = child_->currentStep();
-    d.ewmaRate = rate;
-    d.predictedDenseSec =
-        planner_.predictDenseStepSec(netStats_, rate, threads);
-    d.predictedEventSec =
-        planner_.predictEventStepSec(netStats_, rate);
+    d.ewmaRate = child_->ewmaRate();
     d.chosen = eventActive_ ? "event" : "dense";
     d.switched = switched;
     child_->recordPlanDecision(d);
-}
-
-void
-AutoSession::applyPlanInfo()
-{
-    PlanInfo info;
-    info.present = true;
-    info.strategy = adaptive_ ? "auto"
-                    : eventActive_
-                        ? "event"
-                        : "dense";
-    info.planned = false; // flexon_sim --plan=auto overrides
-    info.predictedStepSec =
-        eventActive_ ? plan_.predictedEventStepSec
-                     : plan_.predictedDenseStepSec;
-    info.crossoverRate = adaptive_ ? crossoverRate_ : 0.0;
-    info.calibrationVersion = plan_.calibrationVersion;
-    child_->setPlanInfo(info);
 }
 
 std::unique_ptr<SimulationSession>
@@ -228,7 +200,7 @@ AutoSession::decide()
     // Record after any switch so the entry lands in the session
     // core the run continues with (adoptSessionCore carries the
     // trail across a hand-off).
-    recordDecision(rate, eventActive_ != wasEvent);
+    recordDecision(eventActive_ != wasEvent);
 }
 
 void

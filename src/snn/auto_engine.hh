@@ -19,11 +19,11 @@
  * The decision input is the session's EWMA firing-rate estimator
  * (SimulationSession::ewmaRate), which derives only from the spike
  * history — so decisions are deterministic and survive
- * checkpoint/restore. The crossover rate, hysteresis margin and
- * decision cadence all come from the execution planner
- * (plan::ExecutionPlanner::crossoverRate, plan::kSwitchHysteresis,
- * plan::kDecisionWindow): one definition, calibration-aware, and
- * still a pure function of (calibration, network stats, EWMA rate).
+ * checkpoint/restore. The crossover is r* = 1 / (K + 1) for mean
+ * fan-out K: a dense step updates all N neurons, an event-driven
+ * step costs about (K + 1) units per fired neuron (its own update
+ * plus catching up K targets), and both pay the same per-synapse
+ * delivery, so the two tie at r N (K + 1) = N.
  */
 
 #ifndef FLEXON_SNN_AUTO_ENGINE_HH
@@ -33,7 +33,6 @@
 #include <memory>
 #include <string>
 
-#include "plan/planner.hh"
 #include "snn/network.hh"
 #include "snn/session.hh"
 #include "snn/simulator.hh"
@@ -55,32 +54,38 @@ const char *engineKindName(EngineKind kind);
  *  else. */
 bool parseEngineKind(const std::string &text, EngineKind &out);
 
+/**
+ * Relative switch margin for the rate-adaptive engine: the engine
+ * flips only when the EWMA rate clears the crossover by this factor
+ * (event->dense at r > r* x (1 + h), dense->event at
+ * r x (1 + h) < r*), leaving a dead band of (1 + h)^2 ~ 1.44x so a
+ * rate hovering at the crossover cannot thrash hand-off costs.
+ */
+inline constexpr double kSwitchHysteresis = 0.2;
+
+/**
+ * Steps between engine-switch decisions. Spike output is
+ * decision-window invariant (decisions land on absolute step
+ * boundaries), so this only trades reaction latency against hand-off
+ * frequency.
+ */
+inline constexpr uint64_t kDecisionWindow = 256;
+
 /** Tunables of the rate-adaptive switch. */
 struct AutoEngineOptions
 {
     EngineKind engine = EngineKind::Auto;
     /**
-     * Steps between switch decisions (plan::kDecisionWindow). Small
-     * enough to catch regime changes, large enough that a hand-off
+     * Steps between switch decisions (kDecisionWindow). Small enough
+     * to catch regime changes, large enough that a hand-off
      * (O(N + ring) copies) amortizes to noise.
      */
-    uint64_t decisionWindow = plan::kDecisionWindow;
+    uint64_t decisionWindow = kDecisionWindow;
     /**
      * Relative margin the estimated winner must beat the incumbent
-     * by before a switch happens (thrash guard,
-     * plan::kSwitchHysteresis).
+     * by before a switch happens (thrash guard, kSwitchHysteresis).
      */
-    double hysteresis = plan::kSwitchHysteresis;
-    /**
-     * Planner supplying the dense/event crossover rate (and, via its
-     * calibration, the cost provenance recorded in run reports).
-     * Null means "plan from the process-wide activeCalibration()" —
-     * with no calibration installed that is the builtin model, whose
-     * crossover reproduces the hand-tuned pre-PR 8 value exactly
-     * (see plan::kBuiltinEventCostFactor). Not retained: the
-     * AutoSession copies what it needs at construction.
-     */
-    const plan::ExecutionPlanner *planner = nullptr;
+    double hysteresis = kSwitchHysteresis;
 };
 
 /**
@@ -138,7 +143,8 @@ class AutoSession
 
     /**
      * Firing rate (spikes/neuron/step) above which the dense engine
-     * is estimated cheaper (before hysteresis).
+     * is estimated cheaper (before hysteresis): 1 / (K + 1) for mean
+     * fan-out K while adaptive, 0 otherwise.
      */
     double crossoverRate() const { return crossoverRate_; }
 
@@ -162,10 +168,8 @@ class AutoSession
     std::unique_ptr<SimulationSession> makeEngine(bool event) const;
     /** Hand the live state to the other engine (bit-exact). */
     void switchEngine(bool toEvent);
-    /** Evaluate the crossover model and switch if warranted. */
+    /** Compare the EWMA rate with the crossover; switch if warranted. */
     void decide();
-    /** Stamp the live engine's PlanInfo (report "plan" section). */
-    void applyPlanInfo();
 
     const Network &network_;
     StimulusGenerator stimulus_; ///< pristine copy for rebuilds
@@ -178,18 +182,13 @@ class AutoSession
      * Called after any switch, so the record lands in the session
      * core the run continues with.
      */
-    void recordDecision(double rate, bool switched);
+    void recordDecision(bool switched);
 
     std::unique_ptr<SimulationSession> child_;
     bool eventActive_ = false;
     bool adaptive_ = false;
     double crossoverRate_ = 0.0;
     uint64_t switches_ = 0;
-    /** Planner snapshot backing crossoverRate_ and the report. */
-    plan::EnginePlan plan_;
-    /** Planner copy driving the per-decision cost predictions. */
-    plan::ExecutionPlanner planner_;
-    plan::NetworkStats netStats_;
 };
 
 } // namespace flexon

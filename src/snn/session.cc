@@ -10,7 +10,6 @@
 
 #include "common/debug.hh"
 #include "common/logging.hh"
-#include "plan/planner.hh"
 #include "snn/plasticity.hh"
 #include "snn/serialize.hh"
 
@@ -130,7 +129,7 @@ SimulationSession::phaseSynapse()
     if (numNeurons > 0) {
         const double inst = static_cast<double>(firedList_.size()) /
                             static_cast<double>(numNeurons);
-        ewmaRate_ += (inst - ewmaRate_) * plan::kEwmaAlpha;
+        ewmaRate_ += (inst - ewmaRate_) * kEwmaAlpha;
     }
 
     telemetry::ScopedTimer routeScope(routeTimer_,
@@ -370,6 +369,7 @@ SimulationSession::stats() const
     statsView_.synapseRouteSec = routeTimer_.seconds();
     statsView_.probeSec = probeTimer_.seconds();
     statsView_.steps = stepsCounter_.value();
+    statsView_.timedSteps = statsView_.steps - timedFromStep_;
     statsView_.spikes = spikesCounter_.value();
     statsView_.modelNeuronSec = modelNeuronSecGauge_.value();
     statsView_.threadsUsed =
@@ -423,7 +423,7 @@ SimulationSession::printStats(std::ostream &os) const
          "host seconds sampling membrane probes");
     if (view.totalSec() > 0.0) {
         line("sim.steps_per_sec",
-             static_cast<double>(view.steps) / view.totalSec(),
+             static_cast<double>(view.timedSteps) / view.totalSec(),
              "simulated steps per host second");
         line("sim.synapse_events_per_sec",
              static_cast<double>(view.synapseEvents) /
@@ -494,6 +494,7 @@ SimulationSession::reset()
     for (auto &trace : probeTraces_)
         trace.clear();
     metrics_.reset();
+    timedFromStep_ = 0;
     statsView_ = PhaseStats{};
     t_ = 0;
     ewmaRate_ = 0.0;
@@ -527,8 +528,10 @@ SimulationSession::adoptSessionCore(const SimulationSession &other)
     stimulus_ = other.stimulus_;
     ewmaRate_ = other.ewmaRate_;
     // Simulation-meaningful counters continue; wall-clock timers
-    // restart from zero, exactly as after a checkpoint restore.
+    // restart from zero, exactly as after a checkpoint restore, so
+    // the timed-step base moves up to the adopted step count.
     stepsCounter_.add(other.stepsCounter_.value());
+    timedFromStep_ = stepsCounter_.value();
     spikesCounter_.add(other.spikesCounter_.value());
     modelNeuronSecGauge_.add(other.modelNeuronSecGauge_.value());
     checkpointSaves_ = other.checkpointSaves_;
@@ -571,6 +574,7 @@ SimulationSession::writeRunReport(const std::string &path) const
     auto &stats = context.stats;
     auto num = [](double x) { return telemetry::jsonNumber(x); };
     stats.emplace_back("steps", std::to_string(view.steps));
+    stats.emplace_back("timed_steps", std::to_string(view.timedSteps));
     stats.emplace_back("spikes", std::to_string(view.spikes));
     stats.emplace_back("synapse_events",
                        std::to_string(view.synapseEvents));
@@ -608,7 +612,8 @@ SimulationSession::writeRunReport(const std::string &path) const
     if (view.totalSec() > 0.0) {
         stats.emplace_back(
             "steps_per_sec",
-            num(static_cast<double>(view.steps) / view.totalSec()));
+            num(static_cast<double>(view.timedSteps) /
+                view.totalSec()));
         stats.emplace_back(
             "synapse_events_per_sec",
             num(static_cast<double>(view.synapseEvents) /
@@ -685,10 +690,7 @@ SimulationSession::writeRunReport(const std::string &path) const
                 decisions += ", ";
             decisions += "{\"step\": " + std::to_string(d.step) +
                          ", \"ewma_rate\": " + num(d.ewmaRate) +
-                         ", \"predicted_dense_sec\": " +
-                         num(d.predictedDenseSec) +
-                         ", \"predicted_event_sec\": " +
-                         num(d.predictedEventSec) + ", \"chosen\": " +
+                         ", \"chosen\": " +
                          telemetry::jsonQuoted(d.chosen) +
                          ", \"switched\": " +
                          (d.switched ? "true" : "false") + "}";
@@ -703,21 +705,14 @@ SimulationSession::writeRunReport(const std::string &path) const
         telemetry::ReportFields planFields;
         planFields.emplace_back(
             "strategy", telemetry::jsonQuoted(planInfo_.strategy));
-        planFields.emplace_back("planned",
-                                planInfo_.planned ? "true"
-                                                  : "false");
-        planFields.emplace_back(
-            "predicted_step_sec", num(planInfo_.predictedStepSec));
         const double measured =
-            view.steps > 0
-                ? view.totalSec() / static_cast<double>(view.steps)
+            view.timedSteps > 0
+                ? view.totalSec() /
+                      static_cast<double>(view.timedSteps)
                 : 0.0;
         planFields.emplace_back("measured_step_sec", num(measured));
         planFields.emplace_back("crossover_rate",
                                 num(planInfo_.crossoverRate));
-        planFields.emplace_back(
-            "calibration_version",
-            telemetry::jsonQuoted(planInfo_.calibrationVersion));
         context.sections.emplace_back("plan",
                                       std::move(planFields));
     }
@@ -844,6 +839,9 @@ SimulationSession::loadCheckpoint(std::istream &is,
     if (tag != "counters" || !is)
         fatal("malformed checkpoint counters line");
     stepsCounter_.add(steps);
+    // The phase timers restart here; throughput counts from this
+    // step on.
+    timedFromStep_ = stepsCounter_.value();
     spikesCounter_.add(spikes);
     modelNeuronSecGauge_.add(modelSec);
 

@@ -28,7 +28,8 @@
  * integers, so every value round trips exactly. Wall-clock phase
  * timers are deliberately *not* checkpointed — host seconds are not
  * simulation state — so timer-derived stats restart from zero while
- * all step/spike/event counters continue.
+ * all step/spike/event counters continue (throughput divides by
+ * PhaseStats::timedSteps, the steps the timers actually cover).
  */
 
 #ifndef FLEXON_SNN_SESSION_HH
@@ -50,6 +51,15 @@
 namespace flexon {
 
 class PlasticityRule;
+
+/**
+ * EWMA decay for the session firing-rate estimate
+ * (SimulationSession::ewmaRate): rate += (observed - rate) / 64.
+ * Time constant ~64 steps — long enough to ride out synchronous
+ * bursts, short enough that a regime change registers within a
+ * decision window.
+ */
+inline constexpr double kEwmaAlpha = 1.0 / 64.0;
 
 /** Engine-independent options of a simulation session. */
 struct SessionOptions
@@ -102,6 +112,13 @@ struct PhaseStats
     double probeSec = 0.0;
     /** Time steps completed. */
     uint64_t steps = 0;
+    /**
+     * Steps the `*Sec` timers cover: steps run since construction,
+     * reset(), the last checkpoint restore or engine hand-off (the
+     * points where the timers restart while `steps` continues).
+     * Throughput figures divide by this, not by `steps`.
+     */
+    uint64_t timedSteps = 0;
     /** Output spikes fired (sum over neurons). */
     uint64_t spikes = 0;
     /** Synaptic weight deliveries into the delay ring. */
@@ -150,12 +167,10 @@ struct SpikeEvent
 };
 
 /**
- * Descriptive execution-plan record for the run report's "plan"
- * section (report v4). Purely informational — the owner (AutoSession
- * or the CLI) made the decisions; this records what was chosen, what
- * the cost model predicted, and which calibration the prediction
- * came from, so predicted-vs-measured step cost is auditable from
- * the report alone.
+ * Descriptive engine-selection record for the run report's "plan"
+ * section. Purely informational — the owner (AutoSession) made the
+ * decisions; this records the strategy and the switch crossover, and
+ * the report adds the measured seconds per step.
  */
 struct PlanInfo
 {
@@ -163,23 +178,16 @@ struct PlanInfo
     bool present = false;
     /** Effective strategy: "dense" / "event" / "auto". */
     std::string strategy;
-    /** True when the planner chose the strategy (--plan=auto). */
-    bool planned = false;
-    /** Predicted seconds per step for the chosen strategy. */
-    double predictedStepSec = 0.0;
-    /** Planned dense/event crossover rate (0 when not adaptive). */
+    /** Dense/event crossover rate (0 when not adaptive). */
     double crossoverRate = 0.0;
-    /** Version tag of the calibration the plan derives from. */
-    std::string calibrationVersion;
 };
 
 /**
- * One recorded ExecutionPlanner decision: what the planner saw (step,
- * EWMA rate), what the cost model predicted per strategy, and what it
- * chose. AutoSession records one per decision window; the session
- * stores them for the report's "plan_audit" section and mirrors each
- * as a trace instant, making the adaptive switching explainable from
- * the artifacts alone.
+ * One recorded engine-switch decision: what AutoSession saw (step,
+ * EWMA rate) and what it chose. One is recorded per decision window;
+ * the session stores them for the report's "plan_audit" section and
+ * mirrors each as a trace instant, making the adaptive switching
+ * explainable from the artifacts alone.
  */
 struct PlanDecision
 {
@@ -187,11 +195,7 @@ struct PlanDecision
     uint64_t step = 0;
     /** EWMA firing rate the decision was based on. */
     double ewmaRate = 0.0;
-    /** Predicted seconds/step for the dense strategy. */
-    double predictedDenseSec = 0.0;
-    /** Predicted seconds/step for the event-driven strategy. */
-    double predictedEventSec = 0.0;
-    /** Chosen strategy: "dense" or "event". */
+    /** Chosen engine: "dense" or "event". */
     std::string chosen;
     /** True when the decision switched the active engine. */
     bool switched = false;
@@ -305,7 +309,7 @@ class SimulationSession
 
     /**
      * Exponentially weighted moving average of the per-step firing
-     * rate (spikes per neuron per step), alpha = plan::kEwmaAlpha
+     * rate (spikes per neuron per step), alpha = kEwmaAlpha
      * (1/64). Updated every step from the fired sweep, checkpointed,
      * and deterministic —
      * it derives purely from the spike history, so it is safe to
@@ -344,7 +348,7 @@ class SimulationSession
     const telemetry::Registry &metrics() const { return metrics_; }
 
     /**
-     * Write a "flexon-run-report-v5" JSON document (config, stats,
+     * Write a "flexon-run-report-v6" JSON document (config, stats,
      * checkpoint section, health section, plan section when
      * setPlanInfo() was called, plan_audit section when decisions
      * were recorded, this registry, the process registry, pool lane
@@ -416,10 +420,10 @@ class SimulationSession
     }
 
     /**
-     * Record the execution plan for the run report's "plan" section.
-     * Purely descriptive (like setCheckpointCadence): the owner made
-     * the decisions. Carried across adoptSessionCore so an engine
-     * hand-off keeps the plan provenance.
+     * Record the engine selection for the run report's "plan"
+     * section. Purely descriptive (like setCheckpointCadence): the
+     * owner made the decisions. Carried across adoptSessionCore so an
+     * engine hand-off keeps it.
      */
     void setPlanInfo(const PlanInfo &info) { planInfo_ = info; }
     const PlanInfo &planInfo() const { return planInfo_; }
@@ -437,8 +441,8 @@ class SimulationSession
     bool healthActive() const { return healthActive_; }
 
     /**
-     * Append one planner decision to the audit trail (also emitted
-     * as a "plan.decision" trace instant). Bounded: after
+     * Append one engine-switch decision to the audit trail (also
+     * emitted as a "plan.decision" trace instant). Bounded: after
      * kPlanAuditCapacity decisions only the total keeps counting.
      */
     void recordPlanDecision(const PlanDecision &decision);
@@ -619,6 +623,9 @@ class SimulationSession
     telemetry::Counter &stepsCounter_;
     telemetry::Counter &spikesCounter_;
     telemetry::Gauge &modelNeuronSecGauge_;
+
+    /** stepsCounter_ value when the phase timers last restarted. */
+    uint64_t timedFromStep_ = 0;
 
     /** Materialized by stats() from the registry + engine. */
     mutable PhaseStats statsView_;

@@ -39,13 +39,13 @@ struct LlifSetup
 
 LlifSetup
 llifNetwork(size_t neurons, double rate, uint64_t seed,
-            float weight = 0.8f)
+            float weight = 0.8f, double connectProb = 0.05)
 {
     LlifSetup s;
     NeuronParams p = defaultParams(ModelKind::LLIF);
     const size_t pop = s.net.addPopulation("llif", p, neurons);
     Rng rng(seed);
-    s.net.connectRandom(pop, pop, 0.05, 0.4, 1, 6, 0, rng);
+    s.net.connectRandom(pop, pop, connectProb, 0.4, 1, 6, 0, rng);
     s.net.finalize();
     s.stim = StimulusGenerator(seed ^ 0xabcdULL);
     s.stim.addSource(StimulusSource::poisson(
@@ -226,7 +226,7 @@ TEST(HealthReport, V5ReportCarriesHealthSection)
     ASSERT_TRUE(sim.writeRunReport(path));
     const std::string text = slurp(path);
     std::remove(path.c_str());
-    EXPECT_NE(text.find("\"flexon-run-report-v5\""),
+    EXPECT_NE(text.find("\"flexon-run-report-v6\""),
               std::string::npos);
     EXPECT_NE(text.find("\"health\""), std::string::npos);
     EXPECT_NE(text.find("\"sweeps\""), std::string::npos);
@@ -235,7 +235,9 @@ TEST(HealthReport, V5ReportCarriesHealthSection)
 
 TEST(PlanAudit, AutoSessionRecordsDecisions)
 {
-    LlifSetup s = llifNetwork(80, 0.02, 37);
+    // Densely wired (K ~ 40): the sustained rate clears the
+    // 1 / (K + 1) x 1.2 switch point, so the trail records a switch.
+    LlifSetup s = llifNetwork(80, 0.05, 37, 0.8f, 0.5);
     SimulatorOptions opts;
     AutoEngineOptions autoOpts;
     autoOpts.engine = EngineKind::Auto;
@@ -243,14 +245,24 @@ TEST(PlanAudit, AutoSessionRecordsDecisions)
     AutoSession sim(s.net, s.stim, opts, autoOpts);
     ASSERT_TRUE(sim.adaptive());
     sim.run(256);
+    ASSERT_GE(sim.switches(), 1u);
     const SimulationSession &session = sim.session();
-    EXPECT_GE(session.planDecisionsTotal(), 4u); // step 0 + windows
-    ASSERT_FALSE(session.planDecisions().empty());
+    EXPECT_EQ(session.planDecisionsTotal(), 5u); // step 0 + 4 windows
+    ASSERT_EQ(session.planDecisions().size(), 5u);
     const PlanDecision &first = session.planDecisions().front();
     EXPECT_EQ(first.step, 0u);
-    EXPECT_GT(first.predictedDenseSec, 0.0);
-    EXPECT_GT(first.predictedEventSec, 0.0);
-    EXPECT_TRUE(first.chosen == "dense" || first.chosen == "event");
+    EXPECT_EQ(first.chosen, "event"); // a fresh network is silent
+    EXPECT_FALSE(first.switched);
+    uint64_t switched = 0;
+    for (const PlanDecision &d : session.planDecisions()) {
+        EXPECT_EQ(d.step % 64, 0u);
+        if (d.switched) {
+            ++switched;
+            EXPECT_EQ(d.chosen, "dense");
+            EXPECT_GT(d.ewmaRate, sim.crossoverRate() * 1.2);
+        }
+    }
+    EXPECT_EQ(switched, sim.switches());
 
     const std::string path = "plan_audit_test.json";
     ASSERT_TRUE(session.writeRunReport(path));

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -166,13 +168,14 @@ struct LlifSetup
 };
 
 LlifSetup
-llifNetwork(size_t neurons, double rate, uint64_t seed)
+llifNetwork(size_t neurons, double rate, uint64_t seed,
+            double connectProb = 0.05)
 {
     LlifSetup s;
     NeuronParams p = defaultParams(ModelKind::LLIF);
     const size_t pop = s.net.addPopulation("llif", p, neurons);
     Rng rng(seed);
-    s.net.connectRandom(pop, pop, 0.05, 0.4, 1, 6, 0, rng);
+    s.net.connectRandom(pop, pop, connectProb, 0.4, 1, 6, 0, rng);
     s.net.finalize();
     s.stim = StimulusGenerator(seed ^ 0xabcdULL);
     s.stim.addSource(StimulusSource::poisson(
@@ -355,24 +358,15 @@ TEST(SessionCheckpoint, RejectsNeuronCountMismatch)
 // ---- Rate-adaptive engine switch --------------------------------
 
 /**
- * Auto-engine options that force an early event -> dense switch: a
- * synthetic calibration pricing the event-driven unit at 200x the
- * dense update pushes the planned crossover rate below any sustained
- * activity, so the session (which starts event-driven on the silent
- * fresh network) must hand off to dense at an early decision
- * boundary.
+ * A densely wired network (K ~ 45) whose sustained rate clears the
+ * 1 / (K + 1) x (1 + kSwitchHysteresis) switch point, so an adaptive
+ * session (which starts event-driven on the silent fresh network)
+ * must hand off to dense at an early decision boundary.
  */
-const plan::ExecutionPlanner &
-expensiveEventPlanner()
+LlifSetup
+busyNetwork()
 {
-    static const plan::ExecutionPlanner planner = [] {
-        plan::CalibrationData cal = plan::builtinCalibration();
-        cal.version = "test-forced-switch";
-        cal.model.eventNsPerUnit =
-            cal.model.denseNsPerNeuron * 200.0;
-        return plan::ExecutionPlanner(cal);
-    }();
-    return planner;
+    return llifNetwork(90, 0.05, 13, 0.5);
 }
 
 AutoEngineOptions
@@ -381,7 +375,6 @@ forcedSwitchOptions()
     AutoEngineOptions a;
     a.engine = EngineKind::Auto;
     a.decisionWindow = 64;
-    a.planner = &expensiveEventPlanner();
     return a;
 }
 
@@ -392,17 +385,19 @@ TEST(AutoEngine, SwitchingRunMatchesPinnedEnginesBitForBit)
     opts.recordSpikes = true;
     opts.probes = {0, 3, 11};
 
-    LlifSetup a = llifNetwork(90, 0.05, 13);
+    LlifSetup a = busyNetwork();
     Simulator dense(a.net, a.stim, opts);
     dense.run(total);
     ASSERT_GT(dense.stats().spikes, 0u) << "network stayed silent";
 
-    LlifSetup b = llifNetwork(90, 0.05, 13);
+    LlifSetup b = busyNetwork();
     AutoSession autoSim(b.net, b.stim, opts, forcedSwitchOptions());
     ASSERT_TRUE(autoSim.adaptive());
     autoSim.run(total);
     EXPECT_GE(autoSim.switches(), 1u)
-        << "forced crossover never triggered a switch";
+        << "sustained rate never cleared the crossover (ewma "
+        << autoSim.session().ewmaRate() << ", crossover "
+        << autoSim.crossoverRate() << ")";
     EXPECT_FALSE(autoSim.eventActive());
 
     expectIdentical(capture(dense, opts.probes.size()),
@@ -417,7 +412,7 @@ TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
     opts.probes = {0, 3, 11};
 
     // Uninterrupted adaptive baseline.
-    LlifSetup a = llifNetwork(90, 0.05, 13);
+    LlifSetup a = busyNetwork();
     AutoSession full(a.net, a.stim, opts, forcedSwitchOptions());
     full.run(total);
     ASSERT_GE(full.switches(), 1u);
@@ -426,7 +421,7 @@ TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
     // written by whichever engine is live at the split.
     const std::string path =
         ::testing::TempDir() + "auto-switch.fxc";
-    LlifSetup b = llifNetwork(90, 0.05, 13);
+    LlifSetup b = busyNetwork();
     {
         AutoSession first(b.net, b.stim, opts,
                           forcedSwitchOptions());
@@ -450,6 +445,78 @@ TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
 
     expectIdentical(capture(full.session(), opts.probes.size()),
                     capture(second.session(), opts.probes.size()));
+}
+
+TEST(AutoEngine, CrossoverIsInverseMeanFanOutPlusOne)
+{
+    LlifSetup s = busyNetwork();
+    AutoSession sim(s.net, s.stim, SimulatorOptions{},
+                    forcedSwitchOptions());
+    ASSERT_TRUE(sim.adaptive());
+    const double k = static_cast<double>(s.net.numSynapses()) /
+                     static_cast<double>(s.net.numNeurons());
+    EXPECT_EQ(sim.crossoverRate(), 1.0 / (k + 1.0));
+    EXPECT_EQ(sim.session().planInfo().crossoverRate,
+              sim.crossoverRate());
+
+    // A pinned session has no crossover.
+    LlifSetup t = busyNetwork();
+    AutoEngineOptions pin;
+    pin.engine = EngineKind::Event;
+    AutoSession pinned(t.net, t.stim, SimulatorOptions{}, pin);
+    EXPECT_EQ(pinned.crossoverRate(), 0.0);
+    EXPECT_EQ(pinned.session().planInfo().strategy, "event");
+    EXPECT_EQ(pinned.session().planInfo().crossoverRate, 0.0);
+}
+
+/**
+ * Every engine kind, at several thread counts, produces the same
+ * spike train as the dense engine — bit for bit. Engine choice only
+ * ever changes *which* engine steps, never what it computes.
+ */
+TEST(PlanBitIdentity, PlannedStrategiesMatchPinnedEngines)
+{
+    const uint64_t total = 640;
+    for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+        SimulatorOptions opts;
+        opts.recordSpikes = true;
+        opts.threads = threads;
+
+        LlifSetup a = llifNetwork(90, 0.05, 13);
+        Simulator dense(a.net, a.stim, opts);
+        dense.run(total);
+        ASSERT_GT(dense.stats().spikes, 0u) << "silent network";
+
+        for (const EngineKind kind :
+             {EngineKind::Dense, EngineKind::Event,
+              EngineKind::Auto}) {
+            LlifSetup b = llifNetwork(90, 0.05, 13);
+            AutoEngineOptions autoOpts;
+            autoOpts.engine = kind;
+            AutoSession sim(b.net, b.stim, opts, autoOpts);
+            sim.run(total);
+            EXPECT_EQ(sim.session().spikeCounts(),
+                      dense.spikeCounts())
+                << "threads=" << threads << " engine="
+                << engineKindName(kind);
+            EXPECT_EQ(sim.session().stats().spikes,
+                      dense.stats().spikes);
+        }
+    }
+}
+
+/** The engine selection flows into the session's plan info (what the
+ *  run report's plan section is generated from). */
+TEST(PlanBitIdentity, PlanInfoReachesTheSession)
+{
+    LlifSetup s = llifNetwork(60, 0.03, 5);
+    AutoEngineOptions autoOpts;
+    autoOpts.engine = EngineKind::Auto;
+    AutoSession sim(s.net, s.stim, SimulatorOptions{}, autoOpts);
+    const PlanInfo &info = sim.session().planInfo();
+    EXPECT_TRUE(info.present);
+    EXPECT_EQ(info.strategy, "auto");
+    EXPECT_GT(info.crossoverRate, 0.0);
 }
 
 TEST(AutoEngine, PinnedKindsNeverSwitch)
@@ -493,6 +560,98 @@ TEST(AutoEngine, AutoFallsBackToDenseWhenIneligible)
     sim.run(100);
     EXPECT_EQ(sim.switches(), 0u);
     EXPECT_EQ(sim.session().currentStep(), 100u);
+}
+
+// ---- Throughput after a restore or hand-off ---------------------
+
+/** The number following `"key": ` in a report document. */
+double
+reportNumber(const std::string &json, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const size_t at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos)
+        return -1.0;
+    return std::strtod(json.c_str() + at + needle.size(), nullptr);
+}
+
+/**
+ * Check that the report and --stats divide by the steps the timers
+ * cover, and return the report text.
+ */
+std::string
+expectThroughputOverTimedSteps(const SimulationSession &sim,
+                               uint64_t timedSteps,
+                               const std::string &reportName)
+{
+    const PhaseStats &st = sim.stats();
+    EXPECT_EQ(st.timedSteps, timedSteps);
+    EXPECT_GT(st.totalSec(), 0.0);
+    const double expected =
+        static_cast<double>(timedSteps) / st.totalSec();
+
+    const std::string path = ::testing::TempDir() + reportName;
+    EXPECT_TRUE(sim.writeRunReport(path));
+    std::ifstream is(path);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    const std::string json = buffer.str();
+    EXPECT_EQ(reportNumber(json, "timed_steps"),
+              static_cast<double>(timedSteps));
+    EXPECT_NEAR(reportNumber(json, "steps_per_sec"), expected,
+                1e-6 * expected);
+
+    std::ostringstream stats;
+    sim.printStats(stats);
+    const std::string text = stats.str();
+    const size_t at = text.find("sim.steps_per_sec");
+    EXPECT_NE(at, std::string::npos);
+    const double printed = std::strtod(
+        text.c_str() + text.find_first_of("0123456789", at + 17),
+        nullptr);
+    EXPECT_NEAR(printed, expected, 1e-6 * expected);
+    return json;
+}
+
+TEST(SessionThroughput, RestoreDividesByStepsSinceRestore)
+{
+    LlifSetup a = llifNetwork(40, 0.02, 21);
+    Simulator first(a.net, a.stim, SimulatorOptions{});
+    first.run(300);
+    std::stringstream snapshot;
+    first.saveCheckpoint(snapshot);
+
+    LlifSetup b = llifNetwork(40, 0.02, 21);
+    Simulator second(b.net, b.stim, SimulatorOptions{});
+    second.loadCheckpoint(snapshot);
+    second.run(100);
+    EXPECT_EQ(second.stats().steps, 400u);
+    expectThroughputOverTimedSteps(second, 100, "restore-rate.json");
+}
+
+TEST(SessionThroughput, HandOffDividesByStepsSinceSwitch)
+{
+    const uint64_t total = 640;
+    LlifSetup s = busyNetwork();
+    AutoSession sim(s.net, s.stim, SimulatorOptions{},
+                    forcedSwitchOptions());
+    sim.run(total);
+    ASSERT_GE(sim.switches(), 1u);
+
+    uint64_t lastSwitch = 0;
+    for (const PlanDecision &d : sim.session().planDecisions())
+        if (d.switched)
+            lastSwitch = d.step;
+    ASSERT_GT(lastSwitch, 0u);
+    EXPECT_EQ(sim.session().stats().steps, total);
+    const std::string json = expectThroughputOverTimedSteps(
+        sim.session(), total - lastSwitch, "handoff-rate.json");
+    const PhaseStats &st = sim.session().stats();
+    const double perStep =
+        st.totalSec() / static_cast<double>(total - lastSwitch);
+    EXPECT_NEAR(reportNumber(json, "measured_step_sec"), perStep,
+                1e-6 * perStep);
 }
 
 TEST(SessionCheckpoint, ReportCarriesCheckpointSection)

@@ -34,9 +34,52 @@ fail() {
 "$TRACE_SUMMARY" trace.json --report run.json > /dev/null \
     || fail "trace_summary cross-check rejected a good pair"
 
-grep -q '"flexon-run-report-v5"' run.json \
-    || fail "report is not schema v5"
+grep -q '"flexon-run-report-v6"' run.json \
+    || fail "report is not schema v6"
 grep -q '"health"' run.json || fail "report lacks a health section"
+
+# --- An adaptive run that switches engines (at step 256): the v6 plan
+# section and audit trail carry only the switch rule's fields, and
+# throughput counts only the steps since the hand-off. -------------
+"$SIM" --benchmark microcircuit --scale 20 --rate-scale 8 --steps 300 \
+    --engine auto --report auto.json > auto.log 2>&1 \
+    || fail "adaptive run exited $?"
+"$CHECK_REPORT" auto.json > /dev/null \
+    || fail "check_report rejected an adaptive-engine report"
+python3 -c "
+import json
+d = json.load(open('auto.json'))
+assert d['plan'] == dict(d['plan'], strategy='auto')
+assert set(d['plan']) == {'strategy', 'crossover_rate', 'measured_step_sec'}
+decisions = d['plan_audit']['decisions']
+assert any(x['switched'] for x in decisions), decisions
+assert all(set(x) == {'step', 'ewma_rate', 'chosen', 'switched'}
+           for x in decisions), decisions
+assert d['stats']['timed_steps'] == 300 - 256, d['stats']
+" || fail "adaptive report does not have the v6 plan shape"
+
+# --- Older schema versions still validate: v5/v4 carry the removed
+# planner's prediction fields, v3 has no plan section at all. -------
+python3 -c "
+import json
+d = json.load(open('auto.json'))
+del d['stats']['timed_steps']
+d['plan'].update(planned=False, predicted_step_sec=1e-4,
+                 calibration_version='builtin',
+                 measured_step_sec=d['stats']['total_sec'] / 300)
+for x in d['plan_audit']['decisions']:
+    x.update(predicted_dense_sec=1e-4, predicted_event_sec=2e-4)
+for v in (5, 4):
+    d['schema'] = 'flexon-run-report-v%d' % v
+    json.dump(d, open('old_v%d.json' % v, 'w'))
+del d['plan'], d['plan_audit'], d['health']
+d['schema'] = 'flexon-run-report-v3'
+json.dump(d, open('old_v3.json', 'w'))
+"
+for v in 3 4 5; do
+    "$CHECK_REPORT" "old_v$v.json" > /dev/null \
+        || fail "check_report rejected a v$v report"
+done
 
 # --- Prometheus snapshot shape. -------------------------------------
 grep -q '^# TYPE flexon_export_step gauge$' metrics.prom \
@@ -46,7 +89,7 @@ grep -q '^flexon_export_step{session="Vogels-Abbott",engine=' \
 test -s metrics.prom.jsonl || fail "metrics JSONL history is empty"
 
 # --- Corrupted artifacts must fail non-zero. ------------------------
-sed 's/"flexon-run-report-v5"/"flexon-run-report-v99"/' run.json \
+sed 's/"flexon-run-report-v6"/"flexon-run-report-v99"/' run.json \
     > bad_schema.json
 if "$CHECK_REPORT" bad_schema.json > /dev/null 2>&1; then
     fail "check_report accepted an unknown schema version"

@@ -10,7 +10,7 @@
  *   flexon_sim --benchmark Vogels-Abbott [--scale 10] [--steps 1000]
  *              [--backend reference|flexon|folded] [--seed 1]
  *              [--solver euler|rkf45] [--threads N]
- *              [--calibration calibration.json] [--plan auto|fixed]
+ *              [--engine dense|event|auto]
  *              [--raster] [--csv spikes.csv] [--save net.fxn]
  *              [--telemetry] [--report run.json] [--trace trace.json]
  *   flexon_sim --load net.fxn [--steps 1000] ...
@@ -38,8 +38,6 @@
 #include "nets/model_demo.hh"
 #include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
-#include "plan/calibration.hh"
-#include "plan/planner.hh"
 #include "registry/model_file.hh"
 #include "registry/registry.hh"
 #include "snn/auto_engine.hh"
@@ -72,14 +70,8 @@ struct Args
     uint64_t steps = 1000;
     uint64_t seed = 1;
     size_t threads = 1;
-    /** True once --engine / --threads were given explicitly (the
-     *  planner only fills in what the user left unspecified). */
+    /** True once --engine was given explicitly. */
     bool engineSet = false;
-    bool threadsSet = false;
-    /** Calibration JSON installed process-wide before planning. */
-    std::string calibration;
-    /** --plan=auto: let the planner pick engine and threads. */
-    bool planAuto = false;
     BackendKind backend = BackendKind::Reference;
     IntegrationMode mode = IntegrationMode::Discrete;
     SolverKind solver = SolverKind::Euler;
@@ -122,11 +114,6 @@ usage()
         "                    their generative spec\n"
         "  [--legacy-delivery]  disable the sparse-activity "
         "delivery fast path\n"
-        "  [--calibration FILE]  install a measured calibration.json "
-        "(tools/calibrate)\n"
-        "  [--plan auto|fixed]  auto = the execution planner picks\n"
-        "                    engine and thread count from the "
-        "calibrated cost model\n"
         "  [--rate-scale R]  external-drive multiplier "
         "(microcircuit)\n"
         "  [--solver euler|rkf45]  (reference backend only)\n"
@@ -239,16 +226,6 @@ parseArgs(int argc, char **argv)
             if (!parseEngineKind(v, args.engine))
                 badValue(flag, v, "dense, event, or auto");
             args.engineSet = true;
-        } else if (flag == "--calibration") {
-            args.calibration = need_value(i);
-        } else if (flag == "--plan") {
-            const char *v = need_value(i);
-            if (std::strcmp(v, "auto") == 0)
-                args.planAuto = true;
-            else if (std::strcmp(v, "fixed") == 0)
-                args.planAuto = false;
-            else
-                badValue(flag, v, "auto or fixed");
         } else if (flag == "--connectivity") {
             const char *v = need_value(i);
             if (!parseConnectivityKind(v, args.connectivity))
@@ -262,7 +239,6 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--threads") {
             args.threads = static_cast<size_t>(
                 parseCount(flag, need_value(i)));
-            args.threadsSet = true;
         } else if (flag == "--backend") {
             const char *v = need_value(i);
             if (std::strcmp(v, "reference") == 0)
@@ -380,18 +356,6 @@ int
 main(int argc, char **argv)
 {
     Args args = parseArgs(argc, argv);
-
-    // Install the measured calibration before anything consults the
-    // planner (AutoSession, hwmodel, the plan block below).
-    if (!args.calibration.empty()) {
-        plan::CalibrationData cal;
-        std::string err;
-        if (!plan::loadCalibrationFile(args.calibration, cal, &err))
-            fatal("--calibration: %s", err.c_str());
-        plan::setActiveCalibration(cal);
-        inform("installed calibration %s (version %s)",
-               args.calibration.c_str(), cal.version.c_str());
-    }
 
     // Register file-provided models before anything looks names up —
     // --list-models must show them and --model/--script must find
@@ -554,52 +518,6 @@ main(int argc, char **argv)
         inform("saved network to %s", args.save.c_str());
     }
 
-    // --plan=auto: predict per-strategy step cost from the active
-    // calibration and fill in whatever the user left unspecified
-    // (engine, thread count). Deterministic — depends only on the
-    // calibration and the network's neuron/synapse counts.
-    std::optional<plan::EnginePlan> planned;
-    if (args.planAuto) {
-        const plan::ExecutionPlanner planner;
-        const plan::NetworkStats netStats{net.numNeurons(),
-                                          net.numSynapses()};
-        const unsigned maxThreads =
-            args.threadsSet
-                ? static_cast<unsigned>(
-                      std::max<size_t>(1, args.threads))
-                : std::max(1u,
-                           std::thread::hardware_concurrency());
-        planned = planner.plan(netStats, plan::kDefaultRatePrior,
-                               maxThreads);
-        if (!args.threadsSet)
-            args.threads = planned->threads;
-        if (!args.engineSet) {
-            // The event-driven strategies only exist for the
-            // reference backend's discrete LLIF path over a
-            // materialized table; elsewhere the dense engine is the
-            // only executor, so the plan degrades to it.
-            std::string why;
-            const bool eventCapable =
-                args.backend == BackendKind::Reference &&
-                args.mode == IntegrationMode::Discrete &&
-                args.connectivity == ConnectivityKind::Materialized &&
-                eventDrivenEligible(net, &why);
-            switch (planned->strategy) {
-            case plan::Strategy::Dense:
-                args.engine = EngineKind::Dense;
-                break;
-            case plan::Strategy::EventDriven:
-                args.engine = eventCapable ? EngineKind::Event
-                                           : EngineKind::Dense;
-                break;
-            case plan::Strategy::Adaptive:
-                args.engine = eventCapable ? EngineKind::Auto
-                                           : EngineKind::Dense;
-                break;
-            }
-        }
-    }
-
     // Intrinsic-excitability plasticity attaches a rule to one live
     // session's backend, so it needs the discrete reference backend
     // and a pinned dense engine (adaptive switches and event-driven
@@ -656,25 +574,6 @@ main(int argc, char **argv)
                modelDesc->ie.eta, modelDesc->ie.targetRate,
                modelDesc->ie.tau, modelDesc->ie.minOffset,
                modelDesc->ie.maxOffset);
-    }
-    if (planned) {
-        // Upgrade the AutoSession's descriptive record: this run's
-        // strategy was planner-chosen, and the prediction to audit
-        // against is the planned one.
-        PlanInfo info = sim.session().planInfo();
-        info.present = true;
-        info.planned = true;
-        info.predictedStepSec = planned->predictedStepSec;
-        info.calibrationVersion = planned->calibrationVersion;
-        sim.session().setPlanInfo(info);
-        std::printf("plan: strategy=%s threads=%zu "
-                    "predicted-step=%.3f us (dense %.3f us, event "
-                    "%.3f us) calibration=%s\n",
-                    engineKindName(args.engine), args.threads,
-                    planned->predictedStepSec * 1e6,
-                    planned->predictedDenseStepSec * 1e6,
-                    planned->predictedEventStepSec * 1e6,
-                    planned->calibrationVersion.c_str());
     }
     if (!args.restore.empty()) {
         sim.loadCheckpointFile(args.restore, &net);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks: full simulation-step cost of a scaled
- * Vogels-Abbott network on each neuron-computation backend, and the
- * scaling of the reference backend with network size.
+ * Vogels-Abbott network on each neuron-computation backend, the
+ * scaling of the reference backend with network size, the isolated
+ * neuron and synapse phases, and spec-network generation.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "common/random.hh"
 #include "common/telemetry.hh"
 #include "common/thread_pool.hh"
+#include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
 #include "registry/registry.hh"
 #include "snn/routing.hh"
@@ -326,6 +328,30 @@ BM_SynapsePhaseLegacy(benchmark::State &state)
                             static_cast<int64_t>(events));
 }
 
+/**
+ * Network generation from a spec: the scale-10 Potjans-Diesmann
+ * microcircuit (7.7k neurons, ~3.0M synapses) realized into the CSR
+ * table (arg 0) or as procedural row geometry only (arg 1). Items
+ * are realized synapses.
+ */
+void
+BM_BuildFromSpec(benchmark::State &state)
+{
+    const bool procedural = state.range(0) != 0;
+    MicrocircuitOptions mc;
+    mc.scale = 10.0;
+    size_t synapses = 0;
+    for (auto _ : state) {
+        MicrocircuitInstance inst =
+            buildMicrocircuitSpec(mc, procedural);
+        synapses = inst.network.numSynapses();
+        benchmark::DoNotOptimize(synapses);
+    }
+    state.SetLabel(procedural ? "procedural" : "materialized");
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(synapses));
+}
+
 } // namespace
 } // namespace flexon
 
@@ -335,6 +361,8 @@ BENCHMARK(flexon::BM_StepBackend)
     ->Arg(static_cast<int>(flexon::BackendKind::Folded));
 BENCHMARK(flexon::BM_StepRkf45Reference);
 BENCHMARK(flexon::BM_ReferenceScaling)->Arg(40)->Arg(20)->Arg(10);
+// The threaded families time wall clock (UseRealTime): items/s from
+// main-thread CPU time would credit work done on the pool's lanes.
 BENCHMARK(flexon::BM_StepThreaded)
     ->Args({static_cast<int>(flexon::BackendKind::Reference), 1})
     ->Args({static_cast<int>(flexon::BackendKind::Reference), 2})
@@ -342,27 +370,38 @@ BENCHMARK(flexon::BM_StepThreaded)
     ->Args({static_cast<int>(flexon::BackendKind::Flexon), 1})
     ->Args({static_cast<int>(flexon::BackendKind::Flexon), 4})
     ->Args({static_cast<int>(flexon::BackendKind::Folded), 1})
-    ->Args({static_cast<int>(flexon::BackendKind::Folded), 4});
-BENCHMARK(flexon::BM_StepRkf45Threaded)->Arg(1)->Arg(2)->Arg(4);
+    ->Args({static_cast<int>(flexon::BackendKind::Folded), 4})
+    ->UseRealTime();
+BENCHMARK(flexon::BM_StepRkf45Threaded)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
 BENCHMARK(flexon::BM_NeuronPhase)
     ->Args({static_cast<int>(flexon::BackendKind::Reference), 1})
     ->Args({static_cast<int>(flexon::BackendKind::Reference), 4})
     ->Args({static_cast<int>(flexon::BackendKind::Flexon), 1})
     ->Args({static_cast<int>(flexon::BackendKind::Flexon), 4})
     ->Args({static_cast<int>(flexon::BackendKind::Folded), 1})
-    ->Args({static_cast<int>(flexon::BackendKind::Folded), 4});
+    ->Args({static_cast<int>(flexon::BackendKind::Folded), 4})
+    ->UseRealTime();
 BENCHMARK(flexon::BM_SynapsePhase)
     ->Args({1, 1})
     ->Args({10, 1})
     ->Args({100, 1})
     ->Args({1, 4})
     ->Args({10, 4})
-    ->Args({100, 4});
+    ->Args({100, 4})
+    ->UseRealTime();
 BENCHMARK(flexon::BM_SynapsePhaseLegacy)
     ->Args({1, 1})
     ->Args({10, 1})
     ->Args({100, 1})
     ->Args({10, 4});
+BENCHMARK(flexon::BM_BuildFromSpec)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Custom main (overrides the benchmark_main archive member):

@@ -74,6 +74,14 @@ AutoSession::AutoSession(const Network &network,
               "(requested %s)",
               connectivityKindName(options_.connectivity));
     }
+    if (options_.backend != BackendKind::Reference &&
+        auto_.engine == EngineKind::Event) {
+        // The event-driven engine computes the reference LLIF
+        // arithmetic; running it would silently swap the backend.
+        fatal("engine=event requires the reference backend "
+              "(requested %s)",
+              backendName(options_.backend));
+    }
 
     if (auto_.engine == EngineKind::Auto) {
         // Adaptivity requires the bit-exact hand-off, which exists

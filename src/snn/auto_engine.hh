@@ -114,7 +114,9 @@ class AutoSession
      *        Auto silently pins to Dense (with a warn) when the
      *        configuration cannot hand off: non-Reference backend,
      *        non-discrete mode, or a network the event engine cannot
-     *        run (eventDrivenEligible).
+     *        run (eventDrivenEligible). EngineKind::Event is fatal
+     *        with a non-Reference backend or non-materialized
+     *        connectivity: the event engine runs neither.
      */
     AutoSession(const Network &network, StimulusGenerator stimulus,
                 const SimulatorOptions &options = {},

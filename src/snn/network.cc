@@ -213,6 +213,9 @@ Network::buildFromSpec(const ConnectivitySpec &spec, bool procedural)
 {
     flexon_assert(!finalized_);
     flexon_assert(staging_.empty());
+    // Synapses to reserve: exact upper bound for a fixed fanout (an
+    // autapse draw is dropped), mean + 4 sigma for a Bernoulli rule.
+    double reserve = 0.0;
     for (const Projection &p : spec.projections) {
         flexon_assert(static_cast<size_t>(p.srcBase) + p.srcCount <=
                       numNeurons_);
@@ -221,49 +224,43 @@ Network::buildFromSpec(const ConnectivitySpec &spec, bool procedural)
         flexon_assert(p.delayMin >= 1);
         flexon_assert(p.delayMax >= p.delayMin);
         flexon_assert(p.type < maxSynapseTypes);
-        if (p.rule == Projection::Rule::Bernoulli)
+        const double src = static_cast<double>(p.srcCount);
+        if (p.rule == Projection::Rule::Bernoulli) {
             flexon_assert(p.probability >= 0.0 &&
                           p.probability <= 1.0);
+            const double mean = src * p.dstCount * p.probability;
+            reserve += mean + 4.0 * std::sqrt(mean);
+        } else {
+            reserve += src * p.fanout;
+        }
     }
     spec_ = spec;
     hasSpec_ = true;
+    procedural_ = procedural;
 
-    std::vector<Synapse> row;
-    if (!procedural) {
-        // Realize the spec into the ordinary CSR table. Rows are
-        // generated per source in ascending order, so the staged
-        // stream is already row-sorted and finalize()'s stable sort
-        // preserves the generation order exactly.
-        for (size_t src = 0; src < numNeurons_; ++src) {
-            generateRow(static_cast<uint32_t>(src), row);
-            for (const Synapse &syn : row)
-                staging_.push_back(
-                    {static_cast<uint32_t>(src), syn});
-        }
-        finalize();
-        return;
-    }
-
-    // Procedural: one counting pass derives the geometry; the rows
-    // themselves are regenerated on demand by rowFor().
-    procedural_ = true;
+    // One pass over the sources in ascending order. Materialized
+    // rows are generated straight onto the end of the CSR table;
+    // procedural rows go to a reused scratch row and only their
+    // geometry is kept (rowFor() regenerates them on demand).
+    std::vector<Synapse> scratch;
+    std::vector<Synapse> &rows = procedural ? scratch : synapses_;
+    if (!procedural)
+        synapses_.reserve(static_cast<size_t>(reserve));
     rowPtr_.assign(numNeurons_ + 1, 0);
     incomingCount_.assign(numNeurons_, 0);
     delayUsed_ = {};
-    uint64_t total = 0;
     for (size_t src = 0; src < numNeurons_; ++src) {
-        generateRow(static_cast<uint32_t>(src), row);
-        rowPtr_[src + 1] = row.size();
-        total += row.size();
-        for (const Synapse &syn : row) {
-            maxDelay_ = std::max(maxDelay_, syn.delay);
-            ++incomingCount_[syn.target];
-            delayUsed_[syn.delay] = true;
+        scratch.clear();
+        const size_t begin = rows.size();
+        generateRow(static_cast<uint32_t>(src), rows);
+        for (size_t k = begin; k < rows.size(); ++k) {
+            maxDelay_ = std::max(maxDelay_, rows[k].delay);
+            ++incomingCount_[rows[k].target];
+            delayUsed_[rows[k].delay] = true;
         }
+        rowPtr_[src + 1] = rowPtr_[src] + (rows.size() - begin);
     }
-    for (size_t i = 1; i <= numNeurons_; ++i)
-        rowPtr_[i] += rowPtr_[i - 1];
-    synapseCount_ = total;
+    synapseCount_ = rowPtr_[numNeurons_];
     finalized_ = true;
 }
 
@@ -271,7 +268,6 @@ void
 Network::generateRow(uint32_t src, std::vector<Synapse> &out) const
 {
     flexon_assert(hasSpec_);
-    out.clear();
     for (size_t pi = 0; pi < spec_.projections.size(); ++pi) {
         const Projection &p = spec_.projections[pi];
         if (src < p.srcBase || src >= p.srcBase + p.srcCount)
@@ -343,6 +339,7 @@ Network::rowFor(uint32_t src, std::vector<Synapse> &scratch) const
         return outgoing(src);
     flexon_assert(finalized_);
     flexon_assert(src < numNeurons_);
+    scratch.clear();
     generateRow(src, scratch);
     flexon_assert(scratch.size() ==
                   rowPtr_[src + 1] - rowPtr_[src]);

@@ -142,14 +142,18 @@ class Network
      * Build the wiring from a generative spec (call after the
      * addPopulation() calls, instead of connect* + finalize()).
      *
-     * With `procedural` false the spec is realized into the usual
-     * CSR table (bit-identical to streaming the generated rows into
-     * addSynapse + finalize()). With `procedural` true no synapses
-     * are stored at all: a single counting pass derives the row
-     * geometry (rowPtr, per-target in-degrees, realized delays) and
-     * rows are regenerated on demand via rowFor(). Either way the
-     * network is finalized on return and the spec is retained, so
-     * the two modes describe the same topology.
+     * Both modes make one pass over the sources in ascending order,
+     * generating each row and recording its geometry (rowPtr,
+     * per-target in-degrees, realized delays). With `procedural`
+     * false each row is generated straight onto the end of the CSR
+     * table, reserved once from the spec (exact for fixed fanout,
+     * mean + 4 sigma for Bernoulli) — no staging, sort or copy — and
+     * the result is bit-identical to streaming the generated rows
+     * into addSynapse + finalize(). With `procedural` true no
+     * synapses are stored at all: only the geometry is kept and rows
+     * are regenerated on demand via rowFor(). Either way the network
+     * is finalized on return and the spec is retained, so the two
+     * modes describe the same topology.
      */
     void buildFromSpec(const ConnectivitySpec &spec, bool procedural);
 
@@ -283,7 +287,8 @@ class Network
     }
 
   private:
-    /** Regenerate `src`'s row from the spec (no overlay applied). */
+    /** Append `src`'s row, regenerated from the spec (no overlay
+     *  applied), to `out`. */
     void generateRow(uint32_t src, std::vector<Synapse> &out) const;
     void logWeightMutation(uint64_t index);
 
@@ -292,7 +297,8 @@ class Network
     bool finalized_ = false;
     uint8_t maxDelay_ = 1;
 
-    // Pre-finalize: (src, synapse) pairs; post-finalize: CSR.
+    // Pre-finalize (connect*/addSynapse builders only): (src,
+    // synapse) pairs; post-finalize: CSR.
     std::vector<std::pair<uint32_t, Synapse>> staging_;
     std::vector<Synapse> synapses_;
     std::vector<uint64_t> rowPtr_;

@@ -375,6 +375,8 @@ SimulationSession::stats() const
     statsView_.threadsUsed =
         options_.threads == 0 ? 1 : options_.threads;
     refreshEngineStats(statsView_);
+    statsView_.timedSynapseEvents =
+        statsView_.synapseEvents - timedFromEvents_;
     // The route interval is strictly nested inside the synapse-phase
     // interval on the same steady clock.
     flexon_debug_assert(statsView_.synapseRouteSec <=
@@ -426,7 +428,7 @@ SimulationSession::printStats(std::ostream &os) const
              static_cast<double>(view.timedSteps) / view.totalSec(),
              "simulated steps per host second");
         line("sim.synapse_events_per_sec",
-             static_cast<double>(view.synapseEvents) /
+             static_cast<double>(view.timedSynapseEvents) /
                  view.totalSec(),
              "synaptic deliveries per host second");
     }
@@ -495,6 +497,7 @@ SimulationSession::reset()
         trace.clear();
     metrics_.reset();
     timedFromStep_ = 0;
+    timedFromEvents_ = 0;
     statsView_ = PhaseStats{};
     t_ = 0;
     ewmaRate_ = 0.0;
@@ -529,9 +532,12 @@ SimulationSession::adoptSessionCore(const SimulationSession &other)
     ewmaRate_ = other.ewmaRate_;
     // Simulation-meaningful counters continue; wall-clock timers
     // restart from zero, exactly as after a checkpoint restore, so
-    // the timed-step base moves up to the adopted step count.
+    // the timed-step and timed-event bases move up to the adopted
+    // counts (engineImportTransfer seeds this engine's event count
+    // with exactly other's).
     stepsCounter_.add(other.stepsCounter_.value());
     timedFromStep_ = stepsCounter_.value();
+    timedFromEvents_ = other.stats().synapseEvents;
     spikesCounter_.add(other.spikesCounter_.value());
     modelNeuronSecGauge_.add(other.modelNeuronSecGauge_.value());
     checkpointSaves_ = other.checkpointSaves_;
@@ -616,7 +622,7 @@ SimulationSession::writeRunReport(const std::string &path) const
                 view.totalSec()));
         stats.emplace_back(
             "synapse_events_per_sec",
-            num(static_cast<double>(view.synapseEvents) /
+            num(static_cast<double>(view.timedSynapseEvents) /
                 view.totalSec()));
     }
     engineReportStats(stats);
@@ -972,6 +978,9 @@ SimulationSession::loadCheckpoint(std::istream &is,
 
     restored_ = true;
     restoredStep_ = t_;
+    // The engine block restored the event count; throughput counts
+    // deliveries from here on, like steps.
+    timedFromEvents_ = stats().synapseEvents;
 }
 
 bool

@@ -123,6 +123,8 @@ struct PhaseStats
     uint64_t spikes = 0;
     /** Synaptic weight deliveries into the delay ring. */
     uint64_t synapseEvents = 0;
+    /** Deliveries within the timedSteps window (throughput base). */
+    uint64_t timedSynapseEvents = 0;
     /** Worker lanes the engine was configured with. */
     size_t threadsUsed = 1;
     /** Modelled hardware seconds (Flexon/folded backends only). */
@@ -626,6 +628,8 @@ class SimulationSession
 
     /** stepsCounter_ value when the phase timers last restarted. */
     uint64_t timedFromStep_ = 0;
+    /** Synapse-event count when the phase timers last restarted. */
+    uint64_t timedFromEvents_ = 0;
 
     /** Materialized by stats() from the registry + engine. */
     mutable PhaseStats statsView_;

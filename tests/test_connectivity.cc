@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -107,28 +108,95 @@ TEST(ConnectivityGeometry, PartitionsTargetsAndRoundTripsDelays)
                   static_cast<int>(b));
 }
 
-TEST(ConnectivitySpec, SpecBuildsMatchAcrossStorageModes)
+/** The procedural rows of `proc` streamed through addSynapse(). */
+Network
+streamedCopy(const Network &proc)
 {
-    // procedural=false materializes the generated rows; the wiring
-    // must be the same rows a procedural network regenerates.
-    BenchmarkInstance mat = vogelsAbbott(false);
-    BenchmarkInstance proc = vogelsAbbott(true);
-    ASSERT_EQ(mat.network.numNeurons(), proc.network.numNeurons());
-    ASSERT_EQ(mat.network.numSynapses(), proc.network.numSynapses());
-    EXPECT_FALSE(mat.network.procedural());
-    EXPECT_TRUE(proc.network.procedural());
+    Network net;
+    for (size_t p = 0; p < proc.numPopulations(); ++p) {
+        const Population &pop = proc.population(p);
+        net.addPopulation(pop.name, pop.params, pop.count);
+    }
     std::vector<Synapse> scratch;
-    for (uint32_t n = 0; n < mat.network.numNeurons(); ++n) {
-        const auto a = mat.network.outgoing(n);
-        const auto b = proc.network.rowFor(n, scratch);
-        ASSERT_EQ(a.size(), b.size()) << "row " << n;
-        for (size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].target, b[i].target);
-            EXPECT_EQ(a[i].weight, b[i].weight);
-            EXPECT_EQ(a[i].delay, b[i].delay);
-            EXPECT_EQ(a[i].type, b[i].type);
+    for (uint32_t n = 0; n < proc.numNeurons(); ++n) {
+        for (const Synapse &syn : proc.rowFor(n, scratch))
+            net.addSynapse(n, syn);
+    }
+    net.finalize();
+    return net;
+}
+
+/** Every row, row start and geometry cache of `a` equals `b`'s. */
+void
+expectSameRealization(const Network &a, const Network &b)
+{
+    ASSERT_EQ(a.numNeurons(), b.numNeurons());
+    ASSERT_EQ(a.numSynapses(), b.numSynapses());
+    EXPECT_EQ(a.incomingCounts(), b.incomingCounts());
+    EXPECT_EQ(a.delaysUsed(), b.delaysUsed());
+    EXPECT_EQ(a.maxDelay(), b.maxDelay());
+    std::vector<Synapse> sa, sb;
+    for (uint32_t n = 0; n < a.numNeurons(); ++n) {
+        ASSERT_EQ(a.rowStart(n), b.rowStart(n)) << "row " << n;
+        const auto ra = a.rowFor(n, sa);
+        const auto rb = b.rowFor(n, sb);
+        ASSERT_EQ(ra.size(), rb.size()) << "row " << n;
+        for (size_t i = 0; i < ra.size(); ++i) {
+            ASSERT_EQ(ra[i].target, rb[i].target) << "row " << n;
+            ASSERT_EQ(ra[i].weight, rb[i].weight) << "row " << n;
+            ASSERT_EQ(ra[i].delay, rb[i].delay) << "row " << n;
+            ASSERT_EQ(ra[i].type, rb[i].type) << "row " << n;
         }
     }
+}
+
+/** FNV-1a over the row starts and every (target, weight bits,
+ *  delay, type) of a materialized CSR. */
+uint64_t
+csrHash(const Network &net)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (uint32_t n = 0; n < net.numNeurons(); ++n) {
+        mix(net.rowStart(n), 8);
+        for (const Synapse &syn : net.outgoing(n)) {
+            uint32_t bits;
+            std::memcpy(&bits, &syn.weight, sizeof bits);
+            mix(syn.target, 4);
+            mix(bits, 4);
+            mix(syn.delay, 1);
+            mix(syn.type, 1);
+        }
+    }
+    mix(net.numSynapses(), 8);
+    return h;
+}
+
+TEST(ConnectivitySpec, SpecBuildsMatchAcrossStorageModes)
+{
+    // Fixed fanout (microcircuit) and Bernoulli (Vogels-Abbott): the
+    // materialized build, the procedural geometry and the procedural
+    // rows streamed through addSynapse + finalize() are one CSR.
+    MicrocircuitInstance mcMat = microcircuit(false);
+    MicrocircuitInstance mcProc = microcircuit(true);
+    EXPECT_FALSE(mcMat.network.procedural());
+    EXPECT_TRUE(mcProc.network.procedural());
+    expectSameRealization(mcMat.network, mcProc.network);
+    expectSameRealization(mcMat.network, streamedCopy(mcProc.network));
+
+    BenchmarkInstance vaMat = vogelsAbbott(false);
+    BenchmarkInstance vaProc = vogelsAbbott(true);
+    expectSameRealization(vaMat.network, vaProc.network);
+    expectSameRealization(vaMat.network, streamedCopy(vaProc.network));
+
+    // Golden: any change to the generator's draw sequence or to the
+    // realization shows up here.
+    EXPECT_EQ(csrHash(mcMat.network), 0x524b52d513e90453ULL);
 }
 
 class ProviderEquivalence

@@ -543,6 +543,20 @@ TEST(AutoEngine, PinnedKindsNeverSwitch)
               dense.session().spikeCounts());
 }
 
+TEST(AutoEngine, PinnedEventRejectsNonReferenceBackend)
+{
+    // The event engine computes the reference arithmetic; a pinned
+    // event run on another backend would silently swap it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    SimulatorOptions opts;
+    opts.backend = BackendKind::Flexon;
+    AutoEngineOptions pin;
+    pin.engine = EngineKind::Event;
+    EXPECT_DEATH(AutoSession(s.net, s.stim, opts, pin),
+                 "requires the reference backend");
+}
+
 TEST(AutoEngine, AutoFallsBackToDenseWhenIneligible)
 {
     // A non-LLIF network cannot run event-driven; Auto must pin
@@ -576,9 +590,22 @@ reportNumber(const std::string &json, const std::string &key)
     return std::strtod(json.c_str() + at + needle.size(), nullptr);
 }
 
+/** The number printed after `name` in printStats() output. */
+double
+statsNumber(const std::string &text, const std::string &name)
+{
+    const size_t at = text.find(name);
+    EXPECT_NE(at, std::string::npos) << name;
+    if (at == std::string::npos)
+        return -1.0;
+    return std::strtod(text.c_str() + text.find_first_of(
+                                          "0123456789", at + name.size()),
+                       nullptr);
+}
+
 /**
- * Check that the report and --stats divide by the steps the timers
- * cover, and return the report text.
+ * Check that the report and --stats divide by the steps (and the
+ * synapse events) the timers cover, and return the report text.
  */
 std::string
 expectThroughputOverTimedSteps(const SimulationSession &sim,
@@ -587,9 +614,12 @@ expectThroughputOverTimedSteps(const SimulationSession &sim,
 {
     const PhaseStats &st = sim.stats();
     EXPECT_EQ(st.timedSteps, timedSteps);
+    EXPECT_LE(st.timedSynapseEvents, st.synapseEvents);
     EXPECT_GT(st.totalSec(), 0.0);
     const double expected =
         static_cast<double>(timedSteps) / st.totalSec();
+    const double expectedEvents =
+        static_cast<double>(st.timedSynapseEvents) / st.totalSec();
 
     const std::string path = ::testing::TempDir() + reportName;
     EXPECT_TRUE(sim.writeRunReport(path));
@@ -601,16 +631,15 @@ expectThroughputOverTimedSteps(const SimulationSession &sim,
               static_cast<double>(timedSteps));
     EXPECT_NEAR(reportNumber(json, "steps_per_sec"), expected,
                 1e-6 * expected);
+    EXPECT_NEAR(reportNumber(json, "synapse_events_per_sec"),
+                expectedEvents, 1e-6 * expectedEvents);
 
     std::ostringstream stats;
     sim.printStats(stats);
-    const std::string text = stats.str();
-    const size_t at = text.find("sim.steps_per_sec");
-    EXPECT_NE(at, std::string::npos);
-    const double printed = std::strtod(
-        text.c_str() + text.find_first_of("0123456789", at + 17),
-        nullptr);
-    EXPECT_NEAR(printed, expected, 1e-6 * expected);
+    EXPECT_NEAR(statsNumber(stats.str(), "sim.steps_per_sec"), expected,
+                1e-6 * expected);
+    EXPECT_NEAR(statsNumber(stats.str(), "sim.synapse_events_per_sec"),
+                expectedEvents, 1e-6 * expectedEvents);
     return json;
 }
 
@@ -628,6 +657,26 @@ TEST(SessionThroughput, RestoreDividesByStepsSinceRestore)
     second.run(100);
     EXPECT_EQ(second.stats().steps, 400u);
     expectThroughputOverTimedSteps(second, 100, "restore-rate.json");
+}
+
+TEST(SessionThroughput, RestoreDividesSynapseEventsSinceRestore)
+{
+    LlifSetup a = busyNetwork();
+    Simulator first(a.net, a.stim, SimulatorOptions{});
+    first.run(300);
+    const uint64_t before = first.stats().synapseEvents;
+    ASSERT_GT(before, 0u);
+    std::stringstream snapshot;
+    first.saveCheckpoint(snapshot);
+
+    LlifSetup b = busyNetwork();
+    Simulator second(b.net, b.stim, SimulatorOptions{});
+    second.loadCheckpoint(snapshot);
+    second.run(100);
+    const PhaseStats &st = second.stats();
+    ASSERT_GT(st.synapseEvents, before) << "no deliveries after restore";
+    EXPECT_EQ(st.timedSynapseEvents, st.synapseEvents - before);
+    expectThroughputOverTimedSteps(second, 100, "restore-events.json");
 }
 
 TEST(SessionThroughput, HandOffDividesByStepsSinceSwitch)

@@ -107,7 +107,8 @@ usage()
         "  [--scale S] [--steps N] [--seed N] [--threads N]\n"
         "  [--backend reference|flexon|folded]\n"
         "  [--engine dense|event|auto]  delivery engine "
-        "(auto = rate-adaptive)\n"
+        "(auto = rate-adaptive;\n"
+        "                    event needs the reference backend)\n"
         "  [--connectivity materialized|compressed|procedural]\n"
         "                    synapse-table representation; any\n"
         "                    explicit choice builds benchmarks from\n"
@@ -195,6 +196,7 @@ parseArgs(int argc, char **argv)
             usage();
         return argv[++i];
     };
+    const char *scaleText = nullptr;
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--benchmark") {
@@ -212,10 +214,10 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--csv") {
             args.csv = need_value(i);
         } else if (flag == "--scale") {
-            const char *v = need_value(i);
-            args.scale = parseReal(flag, v);
+            scaleText = need_value(i);
+            args.scale = parseReal(flag, scaleText);
             if (!(args.scale > 0.0))
-                badValue(flag, v, "a positive number");
+                badValue(flag, scaleText, "a positive number");
         } else if (flag == "--rate-scale") {
             const char *v = need_value(i);
             args.rateScale = parseReal(flag, v);
@@ -306,6 +308,20 @@ parseArgs(int argc, char **argv)
             usage();
         }
     }
+    // --scale divides the full-size network. Only the Table I spec
+    // builders (any explicit --connectivity) can grow it (scale < 1).
+    const bool microcircuit = args.benchmark == "microcircuit";
+    if (!args.benchmark.empty() && args.scale < 1.0 &&
+        (microcircuit || !args.connectivitySet))
+        badValue("--scale", scaleText,
+                 microcircuit ? "at least 1 for the microcircuit"
+                              : "at least 1 without --connectivity");
+    // The event engine runs the reference arithmetic only; accepting
+    // another backend would silently substitute it.
+    if (args.engine == EngineKind::Event &&
+        args.backend != BackendKind::Reference)
+        badValue("--engine", "event",
+                 "dense or auto with a non-reference backend");
     return args;
 }
 

@@ -44,6 +44,7 @@
 #include <ctime>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nets/table1.hh"
@@ -347,6 +348,8 @@ parentMain(const char *self, const std::string &outPath,
     os << "{\n  \"context\": {\n"
        << "    \"executable\": \"" << self << "\",\n"
        << "    \"threads\": " << threads << ",\n"
+       << "    \"num_cpus\": " << std::thread::hardware_concurrency()
+       << ",\n"
        << "    \"project_build_type\": \"" FLEXON_BENCH_BUILD_TYPE
           "\"\n"
        << "  },\n  \"benchmarks\": [\n";

@@ -59,9 +59,9 @@ namespace telemetry {
 struct TelemetryConfig
 {
     /**
-     * Deep counters: per-lane pool busy time, kernel dispatch mix,
-     * ring-occupancy histograms. Off = a relaxed load + branch at
-     * each site.
+     * Deep counters: kernel dispatch mix, ring-occupancy histograms.
+     * Off = a relaxed load + branch at each site. (Pool lane
+     * accounting is always on.)
      */
     bool detail = false;
     /** Flight recorder (B/E span events). */

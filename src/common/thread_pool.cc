@@ -57,12 +57,9 @@ ThreadPool::execChunk(Task task, void *ctx, size_t lane,
 {
     if (begin >= end)
         return;
-    const bool detail = telemetry::detailEnabled();
+    // Lane accounting is always on: two clock reads per chunk of a
+    // dispatch that already pays a barrier. Only the span is gated.
     const bool trace = telemetry::traceEnabled();
-    if (!detail && !trace) {
-        task(ctx, lane, begin, end);
-        return;
-    }
     if (trace)
         telemetry::traceBegin("pool.chunk");
     const uint64_t start = telemetry::nowNanos();
@@ -168,8 +165,7 @@ ThreadPool::run(size_t n, size_t lanes, Task task, void *ctx)
         ~DispatchFlag() { tlsInDispatch = false; }
     } inDispatch;
     ensureWorkers(lanes - 1);
-    const bool detail = telemetry::detailEnabled();
-    const uint64_t dispatchStart = detail ? telemetry::nowNanos() : 0;
+    const uint64_t dispatchStart = telemetry::nowNanos();
     const size_t chunk = (n + lanes - 1) / lanes;
     {
         std::lock_guard<std::mutex> guard(mutex_);
@@ -200,13 +196,10 @@ ThreadPool::run(size_t n, size_t lanes, Task task, void *ctx)
     }
     done_.wait(lock, [&] { return pending_ == 0; });
     lock.unlock();
-    if (detail) {
-        const uint64_t wall =
-            telemetry::nowNanos() - dispatchStart;
-        dispatches_.fetch_add(1, std::memory_order_relaxed);
-        wallNs_.fetch_add(wall, std::memory_order_relaxed);
-        laneNs_.fetch_add(wall * lanes, std::memory_order_relaxed);
-    }
+    const uint64_t wall = telemetry::nowNanos() - dispatchStart;
+    dispatches_.fetch_add(1, std::memory_order_relaxed);
+    wallNs_.fetch_add(wall, std::memory_order_relaxed);
+    laneNs_.fetch_add(wall * lanes, std::memory_order_relaxed);
 }
 
 } // namespace flexon

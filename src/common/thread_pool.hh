@@ -115,10 +115,10 @@ class ThreadPool
     size_t workerCount() const;
 
     /**
-     * Aggregated lane accounting, populated only while
-     * telemetry::detailEnabled() (otherwise all zero: the hot path
-     * takes no clock reads). Lane vectors are trimmed to the highest
-     * lane that ever ran a chunk.
+     * Aggregated lane accounting, always recorded for dispatches
+     * that reach the pool (inline runs take no clock reads and count
+     * nothing). Lane vectors are trimmed to the highest lane that
+     * ever ran a chunk.
      */
     struct TelemetrySnapshot
     {
@@ -173,7 +173,7 @@ class ThreadPool
     size_t pending_ = 0;
     bool shutdown_ = false;
 
-    // Telemetry (written only while telemetry::detailEnabled()).
+    // Lane accounting (every pool dispatch).
     // Lane slots are line-padded so concurrent lanes never share one.
     struct alignas(64) LaneMetrics
     {

@@ -1,7 +1,6 @@
 #include "snn/connectivity.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -454,33 +453,8 @@ class CompressedProvider final : public ConnectivityProvider
 
 // ---- Procedural -----------------------------------------------------
 
-/** Default hot-row cache budget (bytes); FLEXON_ROW_CACHE_BYTES
- *  overrides. */
-constexpr size_t kDefaultRowCacheBytes = size_t{16} << 20;
-
 class ProceduralProvider final : public ConnectivityProvider
 {
-    /** One fully decoded source row: per-shard (runs, records)
-     *  slices of two contiguous arrays. */
-    struct CachedRow
-    {
-        std::vector<uint32_t> runs;
-        std::vector<DeliveryRecord> records;
-        std::vector<uint32_t> runBegin; ///< shardCount + 1
-        std::vector<uint32_t> recBegin; ///< shardCount + 1
-        uint64_t lastUse = 0;
-
-        size_t
-        bytes() const
-        {
-            return sizeof(CachedRow) +
-                   runs.capacity() * sizeof(uint32_t) +
-                   records.capacity() * sizeof(DeliveryRecord) +
-                   runBegin.capacity() * sizeof(uint32_t) +
-                   recBegin.capacity() * sizeof(uint32_t);
-        }
-    };
-
   public:
     ProceduralProvider(const Network &network, size_t shardCount,
                        telemetry::Registry * /*metrics*/)
@@ -490,31 +464,27 @@ class ProceduralProvider final : public ConnectivityProvider
           net_(network)
     {
         buildMasks();
-        cacheCap_ = kDefaultRowCacheBytes;
-        if (const char *env = std::getenv("FLEXON_ROW_CACHE_BYTES")) {
-            char *rest = nullptr;
-            const unsigned long long v = std::strtoull(env, &rest, 10);
-            if (rest != env && *rest == '\0')
-                cacheCap_ = static_cast<size_t>(v);
-        }
-        weightsSeen_ = net_.weightMutations();
     }
 
     RowView
     rowSpan(uint32_t src, size_t shard,
             RowScratch &scratch) const override
     {
-        // Lanes only read the cache; prepareStep() is where it
-        // mutates (serial). Rows absent from the cache — undo
-        // probes for spikes fired before the cached window — decode
-        // into the caller's scratch instead.
-        const auto it = cache_.find(src);
-        if (it != cache_.end()) {
-            const CachedRow &c = it->second;
+        // Lanes only read the step's decoded rows; prepareStep() is
+        // where they change (serial). A row fired on an earlier step
+        // — the undo probe of a legacy (bucket, source) touch key —
+        // decodes into the caller's scratch instead.
+        const auto it =
+            std::lower_bound(decoded_.begin(), decoded_.end(), src);
+        if (it != decoded_.end() && *it == src) {
+            const size_t at =
+                static_cast<size_t>(it - decoded_.begin()) *
+                    geo_.shardCount +
+                shard;
             return {std::span<const uint32_t>(
-                        c.runs.data() + c.runBegin[shard],
-                        c.runBegin[shard + 1] - c.runBegin[shard]),
-                    c.records.data() + c.recBegin[shard]};
+                        runs_.data() + runPtr_[at],
+                        runPtr_[at + 1] - runPtr_[at]),
+                    records_.data() + recPtr_[at]};
         }
         return decodeRowForShard(net_.rowFor(src, scratch.synapses),
                                  shard, geo_, scratch);
@@ -523,58 +493,32 @@ class ProceduralProvider final : public ConnectivityProvider
     void
     prepareStep(std::span<const uint32_t> fired) override
     {
-        ++tick_;
-        for (const uint32_t src : fired) {
-            const auto it = cache_.find(src);
-            if (it != cache_.end()) {
-                it->second.lastUse = tick_;
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            CachedRow row = decodeAllShards(src);
-            row.lastUse = tick_;
-            cacheBytes_ += row.bytes();
-            cache_.emplace(src, std::move(row));
-        }
-        if (cacheBytes_ > cacheCap_)
-            evict();
+        // Each fired row is generated once, for all shards, into
+        // flat arrays that are reused step after step. rowFor()
+        // applies the weight overlay, so nothing outlives the step
+        // that could go stale.
+        decoded_.assign(fired.begin(), fired.end());
+        runPtr_.assign(1, 0);
+        recPtr_.assign(1, 0);
+        runs_.clear();
+        records_.clear();
+        for (const uint32_t src : fired)
+            decodeAllShards(src);
+        rowsDecoded_ += fired.size();
     }
 
-    void
-    refreshWeights() override
-    {
-        // rowFor() always serves current weights (the overlay is the
-        // network's); only cached decodes can go stale.
-        const uint64_t total = net_.weightMutations();
-        if (total == weightsSeen_)
-            return;
-        if (total - weightsSeen_ <= Network::weightLogCapacity) {
-            for (uint64_t m = weightsSeen_; m < total; ++m)
-                dropCached(net_.sourceOfSynapse(
-                    net_.weightLogEntry(m)));
-        } else {
-            cache_.clear();
-            cacheBytes_ = 0;
-        }
-        weightsSeen_ = total;
-    }
+    void refreshWeights() override {}
 
     size_t
     connectivityBytes() const override
     {
-        return cacheBytes_ + mask_.capacity() * sizeof(uint64_t) +
+        return runs_.capacity() * sizeof(uint32_t) +
+               records_.capacity() * sizeof(DeliveryRecord) +
+               (runPtr_.capacity() + recPtr_.capacity() +
+                decoded_.capacity()) *
+                   sizeof(uint32_t) +
+               mask_.capacity() * sizeof(uint64_t) +
                geometryBytes(geo_);
-    }
-
-    void
-    reset() override
-    {
-        ConnectivityProvider::reset();
-        cache_.clear();
-        cacheBytes_ = 0;
-        tick_ = 0;
-        weightsSeen_ = net_.weightMutations();
     }
 
   private:
@@ -622,13 +566,12 @@ class ProceduralProvider final : public ConnectivityProvider
         maskData_ = mask_.data();
     }
 
-    CachedRow
+    void
     decodeAllShards(uint32_t src)
     {
         // All shards of a row decode together (one generation pass);
         // the counting sort is (shard, bucket)-major, so each
         // shard's slice carries ascending-bucket runs in row order.
-        CachedRow c;
         const std::span<const Synapse> row =
             net_.rowFor(src, rowScratch_);
         const size_t sc = geo_.shardCount;
@@ -638,88 +581,46 @@ class ProceduralProvider final : public ConnectivityProvider
             ++counts_[geo_.shardOf[syn.target] * buckets +
                       geo_.bucketOf[syn.delay]];
 
-        c.runBegin.resize(sc + 1);
-        c.recBegin.resize(sc + 1);
-        uint32_t runs = 0, recs = 0;
+        auto rec = static_cast<uint32_t>(records_.size());
         for (size_t s = 0; s < sc; ++s) {
-            c.runBegin[s] = runs;
-            c.recBegin[s] = recs;
             for (size_t b = 0; b < buckets; ++b) {
                 const uint32_t len = counts_[s * buckets + b];
                 if (len == 0)
                     continue;
                 flexon_assert(len < (uint32_t{1} << 24));
-                ++runs;
-                recs += len;
-            }
-        }
-        c.runBegin[sc] = runs;
-        c.recBegin[sc] = recs;
-        c.runs.resize(runs);
-        c.records.resize(recs);
-        uint32_t run = 0, rec = 0;
-        for (size_t s = 0; s < sc; ++s) {
-            for (size_t b = 0; b < buckets; ++b) {
-                const uint32_t len = counts_[s * buckets + b];
-                if (len == 0)
-                    continue;
-                c.runs[run++] =
-                    packRunHeader(static_cast<uint32_t>(b), len);
+                runs_.push_back(
+                    packRunHeader(static_cast<uint32_t>(b), len));
                 counts_[s * buckets + b] = rec; // write cursor
                 rec += len;
             }
+            runPtr_.push_back(static_cast<uint32_t>(runs_.size()));
+            recPtr_.push_back(rec);
         }
+        records_.resize(rec);
         for (const Synapse &syn : row) {
             const size_t at =
                 geo_.shardOf[syn.target] * buckets +
                 geo_.bucketOf[syn.delay];
-            c.records[counts_[at]++] = {
+            records_[counts_[at]++] = {
                 static_cast<uint32_t>(syn.target * maxSynapseTypes +
                                       syn.type),
                 syn.weight};
         }
-        return c;
-    }
-
-    void
-    evict()
-    {
-        // One sorted scan, oldest first; rows decoded for the
-        // current step are pinned (their views are about to be read
-        // by the delivery lanes).
-        evictScratch_.clear();
-        for (const auto &[src, row] : cache_)
-            if (row.lastUse != tick_)
-                evictScratch_.emplace_back(row.lastUse, src);
-        std::sort(evictScratch_.begin(), evictScratch_.end());
-        for (const auto &[use, src] : evictScratch_) {
-            if (cacheBytes_ <= cacheCap_)
-                break;
-            dropCached(src);
-        }
-    }
-
-    void
-    dropCached(uint32_t src)
-    {
-        const auto it = cache_.find(src);
-        if (it == cache_.end())
-            return;
-        cacheBytes_ -= it->second.bytes();
-        cache_.erase(it);
     }
 
     const Network &net_;
-    std::unordered_map<uint32_t, CachedRow> cache_;
-    size_t cacheCap_ = kDefaultRowCacheBytes;
-    size_t cacheBytes_ = 0;
-    uint64_t tick_ = 0;
-    uint64_t weightsSeen_ = 0;
     std::vector<uint64_t> mask_;
+    /** This step's decoded rows: the fired list, ascending. */
+    std::vector<uint32_t> decoded_;
+    /** CSR over (decoded row * shardCount + shard): runs_ and
+     *  records_ slices, all shards of a row contiguous. */
+    std::vector<uint32_t> runPtr_;
+    std::vector<uint32_t> recPtr_;
+    std::vector<uint32_t> runs_;
+    std::vector<DeliveryRecord> records_;
     // prepareStep() scratch (serial use only).
     std::vector<Synapse> rowScratch_;
     std::vector<uint32_t> counts_;
-    std::vector<std::pair<uint64_t, uint32_t>> evictScratch_;
 };
 
 } // namespace

@@ -18,11 +18,15 @@
  *    into a per-shard scratch buffer. ~6× smaller than the
  *    materialized records at microcircuit densities.
  *  - **procedural**: nothing stored per synapse at all. Rows are
- *    regenerated on demand from the network's ConnectivitySpec
- *    (counter-based per-source RNG, Network::rowFor), decoded
- *    through an LRU hot-row cache; STDP updates live in the
- *    network's sparse weight-delta overlay. Memory is O(neurons),
- *    so networks that OOM under materialized storage run.
+ *    regenerated from the network's ConnectivitySpec (counter-based
+ *    per-source RNG, Network::rowFor): prepareStep() decodes each
+ *    fired row once per step, for every shard, into flat arrays that
+ *    are reused from step to step. No row is kept across steps —
+ *    delivery writes are undone from the router's cell lists, not
+ *    by decoding the row again. STDP updates live in the network's
+ *    sparse weight-delta overlay. Memory is O(neurons) plus one
+ *    step's fired rows, so networks that OOM under materialized
+ *    storage run.
  *
  * All three providers expose identical shard/bucket geometry (built
  * by buildConnectivityGeometry from the same inputs) and yield the
@@ -34,12 +38,10 @@
 #define FLEXON_SNN_CONNECTIVITY_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "snn/network.hh"
@@ -163,7 +165,7 @@ struct RowView
  * Threading contract: rowSpan() is const and safe to call from
  * concurrent lanes as long as each lane passes its own RowScratch;
  * prepareStep() and refreshWeights() are serial (between lane
- * dispatches) and are where any internal caches may mutate.
+ * dispatches) and are where any internal state may mutate.
  */
 class ConnectivityProvider
 {
@@ -204,8 +206,8 @@ class ConnectivityProvider
     virtual RowView rowSpan(uint32_t src, size_t shard,
                             RowScratch &scratch) const = 0;
 
-    /** Serial pre-delivery hook (e.g. populate the hot-row cache
-     *  for this step's fired set). */
+    /** Serial pre-delivery hook, called every step (e.g. decode
+     *  this step's fired rows). */
     virtual void prepareStep(std::span<const uint32_t> fired)
     {
         (void)fired;
@@ -214,7 +216,8 @@ class ConnectivityProvider
     /** Mirror weight mutations from the network's log. */
     virtual void refreshWeights() = 0;
 
-    /** Heap bytes owned by this provider (tables, blobs, caches). */
+    /** Heap bytes owned by this provider (tables, blobs, decode
+     *  arrays). */
     virtual size_t connectivityBytes() const = 0;
 
     /** The wrapped RoutingTable, when this provider is the
@@ -224,22 +227,11 @@ class ConnectivityProvider
         return nullptr;
     }
 
-    /** Forget cached rows / zero the cache counters (bit-exact
-     *  session reset). */
-    virtual void reset()
-    {
-        hits_.store(0, std::memory_order_relaxed);
-        misses_.store(0, std::memory_order_relaxed);
-    }
+    /** Zero the decode counter (bit-exact session reset). */
+    void reset() { rowsDecoded_ = 0; }
 
-    uint64_t rowCacheHits() const
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
-    uint64_t rowCacheMisses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
+    /** Rows decoded for delivery (procedural; 0 otherwise). */
+    uint64_t rowCacheMisses() const { return rowsDecoded_; }
 
   protected:
     ConnectivityProvider(ConnectivityKind kind,
@@ -252,8 +244,7 @@ class ConnectivityProvider
     ConnectivityGeometry geo_;
     const uint64_t *maskData_ = nullptr; ///< set by the subclass
     bool masksExact_ = false;
-    mutable std::atomic<uint64_t> hits_{0};
-    mutable std::atomic<uint64_t> misses_{0};
+    uint64_t rowsDecoded_ = 0; ///< written by prepareStep() only
 };
 
 /**

@@ -68,6 +68,96 @@ rowSeed(uint64_t seed, uint64_t projection, uint64_t src)
     return x;
 }
 
+/** Append `src`'s row, generated from `spec` (no overlay applied),
+ *  to `out`; weights are 0 unless kWeights. */
+template <bool kWeights>
+void
+appendRow(const ConnectivitySpec &spec, uint32_t src,
+          std::vector<Synapse> &out)
+{
+    for (size_t pi = 0; pi < spec.projections.size(); ++pi) {
+        const Projection &p = spec.projections[pi];
+        if (src < p.srcBase || src >= p.srcBase + p.srcCount)
+            continue;
+        Rng rng(rowSeed(spec.seed, pi, src));
+        // Without kWeights the draw takes the xoshiro words of
+        // drawWeight() but skips the Box-Muller math: Rng::normal()
+        // hands out variates in pairs, so a fresh stream takes words
+        // on every second draw only — one repeated while
+        // `next() >> 11 == 0` (the u1 > 0 rejection), then one (u2).
+        bool pairCached = false;
+        const auto weight = [&]() -> float {
+            if constexpr (kWeights) {
+                return drawWeight(p.weightMean, rng);
+            } else {
+                pairCached = !pairCached;
+                if (pairCached) {
+                    while ((rng.next() >> 11) == 0) {
+                    }
+                    rng.next();
+                }
+                return 0.0f;
+            }
+        };
+        if (p.rule == Projection::Rule::Bernoulli) {
+            if (p.probability <= 0.0 || p.dstCount == 0)
+                continue;
+            if (p.probability >= 1.0) {
+                for (uint32_t d = 0; d < p.dstCount; ++d) {
+                    const uint32_t dst = p.dstBase + d;
+                    if (dst == src)
+                        continue;
+                    out.push_back(
+                        {dst, weight(),
+                         drawDelay(p.delayMin, p.delayMax, rng),
+                         p.type});
+                }
+                continue;
+            }
+            // Geometric gap sampling: the number of misses before
+            // the next Bernoulli(p) hit is floor(log(1-u)/log(1-p)),
+            // one uniform per realized synapse instead of one per
+            // candidate pair.
+            const double logq = std::log1p(-p.probability);
+            uint64_t idx = 0;
+            while (idx < p.dstCount) {
+                const double u = rng.uniform();
+                const double gap = std::floor(std::log1p(-u) / logq);
+                if (!(gap <
+                      static_cast<double>(p.dstCount - idx)))
+                    break;
+                idx += static_cast<uint64_t>(gap);
+                const uint32_t dst =
+                    p.dstBase + static_cast<uint32_t>(idx);
+                ++idx;
+                if (dst == src)
+                    continue; // autapse skipped, no extra draws
+                out.push_back(
+                    {dst, weight(),
+                     drawDelay(p.delayMin, p.delayMax, rng),
+                     p.type});
+            }
+        } else {
+            if (p.dstCount == 0)
+                continue;
+            // Fixed out-degree with replacement (multapses kept, as
+            // in the NEST fixed-degree rules); an autapse draw is
+            // dropped without consuming the weight/delay draws.
+            for (uint32_t k = 0; k < p.fanout; ++k) {
+                const uint32_t dst =
+                    p.dstBase + static_cast<uint32_t>(
+                                    rng.uniformInt(p.dstCount));
+                if (dst == src)
+                    continue;
+                out.push_back(
+                    {dst, weight(),
+                     drawDelay(p.delayMin, p.delayMax, rng),
+                     p.type});
+            }
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -240,8 +330,9 @@ Network::buildFromSpec(const ConnectivitySpec &spec, bool procedural)
 
     // One pass over the sources in ascending order. Materialized
     // rows are generated straight onto the end of the CSR table;
-    // procedural rows go to a reused scratch row and only their
-    // geometry is kept (rowFor() regenerates them on demand).
+    // procedural rows go to a reused scratch row without their
+    // weights and only their geometry is kept (rowFor() regenerates
+    // them on demand and checks each against this pass's length).
     std::vector<Synapse> scratch;
     std::vector<Synapse> &rows = procedural ? scratch : synapses_;
     if (!procedural)
@@ -252,7 +343,10 @@ Network::buildFromSpec(const ConnectivitySpec &spec, bool procedural)
     for (size_t src = 0; src < numNeurons_; ++src) {
         scratch.clear();
         const size_t begin = rows.size();
-        generateRow(static_cast<uint32_t>(src), rows);
+        if (procedural)
+            appendRow<false>(spec_, static_cast<uint32_t>(src), rows);
+        else
+            appendRow<true>(spec_, static_cast<uint32_t>(src), rows);
         for (size_t k = begin; k < rows.size(); ++k) {
             maxDelay_ = std::max(maxDelay_, rows[k].delay);
             ++incomingCount_[rows[k].target];
@@ -264,74 +358,6 @@ Network::buildFromSpec(const ConnectivitySpec &spec, bool procedural)
     finalized_ = true;
 }
 
-void
-Network::generateRow(uint32_t src, std::vector<Synapse> &out) const
-{
-    flexon_assert(hasSpec_);
-    for (size_t pi = 0; pi < spec_.projections.size(); ++pi) {
-        const Projection &p = spec_.projections[pi];
-        if (src < p.srcBase || src >= p.srcBase + p.srcCount)
-            continue;
-        Rng rng(rowSeed(spec_.seed, pi, src));
-        if (p.rule == Projection::Rule::Bernoulli) {
-            if (p.probability <= 0.0 || p.dstCount == 0)
-                continue;
-            if (p.probability >= 1.0) {
-                for (uint32_t d = 0; d < p.dstCount; ++d) {
-                    const uint32_t dst = p.dstBase + d;
-                    if (dst == src)
-                        continue;
-                    out.push_back(
-                        {dst, drawWeight(p.weightMean, rng),
-                         drawDelay(p.delayMin, p.delayMax, rng),
-                         p.type});
-                }
-                continue;
-            }
-            // Geometric gap sampling: the number of misses before
-            // the next Bernoulli(p) hit is floor(log(1-u)/log(1-p)),
-            // one uniform per realized synapse instead of one per
-            // candidate pair.
-            const double logq = std::log1p(-p.probability);
-            uint64_t idx = 0;
-            while (idx < p.dstCount) {
-                const double u = rng.uniform();
-                const double gap = std::floor(std::log1p(-u) / logq);
-                if (!(gap <
-                      static_cast<double>(p.dstCount - idx)))
-                    break;
-                idx += static_cast<uint64_t>(gap);
-                const uint32_t dst =
-                    p.dstBase + static_cast<uint32_t>(idx);
-                ++idx;
-                if (dst == src)
-                    continue; // autapse skipped, no extra draws
-                out.push_back(
-                    {dst, drawWeight(p.weightMean, rng),
-                     drawDelay(p.delayMin, p.delayMax, rng),
-                     p.type});
-            }
-        } else {
-            if (p.dstCount == 0)
-                continue;
-            // Fixed out-degree with replacement (multapses kept, as
-            // in the NEST fixed-degree rules); an autapse draw is
-            // dropped without consuming the weight/delay draws.
-            for (uint32_t k = 0; k < p.fanout; ++k) {
-                const uint32_t dst =
-                    p.dstBase + static_cast<uint32_t>(
-                                    rng.uniformInt(p.dstCount));
-                if (dst == src)
-                    continue;
-                out.push_back(
-                    {dst, drawWeight(p.weightMean, rng),
-                     drawDelay(p.delayMin, p.delayMax, rng),
-                     p.type});
-            }
-        }
-    }
-}
-
 std::span<const Synapse>
 Network::rowFor(uint32_t src, std::vector<Synapse> &scratch) const
 {
@@ -340,7 +366,7 @@ Network::rowFor(uint32_t src, std::vector<Synapse> &scratch) const
     flexon_assert(finalized_);
     flexon_assert(src < numNeurons_);
     scratch.clear();
-    generateRow(src, scratch);
+    appendRow<true>(spec_, src, scratch);
     flexon_assert(scratch.size() ==
                   rowPtr_[src + 1] - rowPtr_[src]);
     if (!overlay_.empty()) {

@@ -224,7 +224,7 @@ class Network
      * Bytes of heap devoted to connectivity storage: the CSR synapse
      * table (empty in procedural mode), row pointers, per-target
      * in-degrees and the weight overlay. Delivery-side structures
-     * (routing tables, compressed blobs, row caches) are accounted
+     * (routing tables, compressed blobs, decoded rows) are accounted
      * by their ConnectivityProvider.
      */
     size_t connectivityBytes() const;
@@ -287,9 +287,6 @@ class Network
     }
 
   private:
-    /** Append `src`'s row, regenerated from the spec (no overlay
-     *  applied), to `out`. */
-    void generateRow(uint32_t src, std::vector<Synapse> &out) const;
     void logWeightMutation(uint64_t index);
 
     std::vector<Population> populations_;

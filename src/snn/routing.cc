@@ -263,6 +263,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
     ring_.assign(ringDepth_ * slotSize_, 0.0);
     slotBase_.assign(ringDepth_, nullptr);
     touchBase_.assign(ringDepth_, nullptr);
+    cellTouchBase_.assign(ringDepth_, nullptr);
     const size_t shards = shards_;
     scratch_.resize(mat_ == nullptr ? shards : 0);
     laneEvents_.assign(shards, 0);
@@ -279,7 +280,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
     shardClearBudget_.assign(shards, 1);
     const auto &targetBegin = conn_->shardTargetBegin();
     touched_.reserve(ringDepth_ * shards);
-    stimTouched_.reserve(ringDepth_ * shards);
+    cellTouched_.reserve(ringDepth_ * shards);
     for (size_t s = 0; s < shards; ++s) {
         const uint64_t cells =
             static_cast<uint64_t>(targetBegin[s + 1] -
@@ -292,7 +293,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
             touched_.emplace_back(shardClearBudget_[s]);
     for (size_t slot = 0; slot < ringDepth_; ++slot)
         for (size_t s = 0; s < shards; ++s)
-            stimTouched_.emplace_back(shardClearBudget_[s]);
+            cellTouched_.emplace_back(shardClearBudget_[s]);
 }
 
 std::span<double>
@@ -320,16 +321,20 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
         std::fill(base + cellLo, base + cellHi, 0.0);
     } else {
         // Undo the tracked writes of this shard only; lanes never
-        // touch another shard's cells. Range keys (bit 63, written
-        // by the sparse delivery loops) carry their record span
-        // directly; legacy (bucket << 32 | src) keys re-derive it
-        // with a row probe — against the materialized table when one
-        // exists, or by re-decoding the source row through the
-        // provider (topology is immutable, so the regenerated row
-        // covers exactly the cells the original delivery wrote).
+        // touch another shard's cells. Cell keys (stimulus and
+        // decoding-provider deliveries) are zeroed directly. Range
+        // keys (bit 63, written by the sparse materialized loops)
+        // carry their record span; legacy (bucket << 32 | src) keys
+        // re-derive it with a row probe — against the materialized
+        // table when one exists, or by re-decoding the source row
+        // through the provider (topology is immutable, so the
+        // regenerated row covers exactly the cells the original
+        // delivery wrote). Decoding providers write no legacy keys;
+        // they arrive only from the materialized bucket scan through
+        // a restored checkpoint, or from checkpoints of older builds.
         // Mixed lists are fine — each key is self-describing, which
         // keeps checkpoints portable across delivery modes.
-        for (const uint64_t cell : stimTouch(slotIdx, shard).keys())
+        for (const uint64_t cell : cellTouch(slotIdx, shard).keys())
             base[cell] = 0.0;
         for (const uint64_t key : touch(slotIdx, shard).keys()) {
             if ((key & kRangeKey) != 0) {
@@ -375,7 +380,7 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
         }
     }
     touch(slotIdx, shard).clear();
-    stimTouch(slotIdx, shard).clear();
+    cellTouch(slotIdx, shard).clear();
 }
 
 void
@@ -510,10 +515,12 @@ SpikeRouter::laneRouteRows(uint64_t t, size_t shard,
     // rowSpan() — source-major over (this shard's) bucket runs, the
     // same walk order as laneRouteSourceMajor, so floating-point
     // accumulation per ring cell is bit-identical to the
-    // materialized paths. Touch keys are the legacy self-describing
-    // (bucket << 32 | src) form, which laneClear can undo by
-    // re-decoding the row (record-offset range keys would dangle —
-    // decoded records live in scratch, not in a stable array).
+    // materialized paths. Each written cell goes to the slot's cell
+    // list at one unit of undo cost, as a row key would have
+    // counted it, so laneClear zeroes it without decoding the row
+    // again (record-offset range keys would dangle — decoded
+    // records live in per-step arrays or lane scratch, not in a
+    // stable table).
     (void)t;
     const bool exact = conn_->rowMasksExact();
     uint64_t events = 0;
@@ -530,13 +537,18 @@ SpikeRouter::laneRouteRows(uint64_t t, size_t shard,
             const uint32_t len = runHeaderLength(header);
             const uint8_t delay = conn_->bucketDelay(b);
             double *const base = slotBase_[delay];
-            TouchList &pending = touchBase_[delay][shard];
-            if (!pending.saturated())
-                pending.add((static_cast<uint64_t>(b) << 32) | n,
-                            len);
+            TouchList &pending = cellTouchBase_[delay][shard];
             events += len;
-            for (uint32_t k = 0; k < len; ++k, ++rec)
+            if (pending.saturated()) {
+                // The slot is already committed to a dense clear.
+                for (uint32_t k = 0; k < len; ++k, ++rec)
+                    base[rec->cell] += rec->weight;
+                continue;
+            }
+            for (uint32_t k = 0; k < len; ++k, ++rec) {
                 base[rec->cell] += rec->weight;
+                pending.add(rec->cell, 1);
+            }
         }
     }
     laneEvents_[shard] = events;
@@ -559,6 +571,7 @@ SpikeRouter::legacyRouteStep(uint64_t t, size_t slotIdx,
         const size_t slot = (t + d) % ringDepth_;
         slotBase_[d] = ring_.data() + slot * slotSize_;
         touchBase_[d] = touched_.data() + slot * shards;
+        cellTouchBase_[d] = cellTouched_.data() + slot * shards;
     }
 
     // Every shard clears and bucket-scans, every active step pays
@@ -585,9 +598,9 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     const size_t shards = shards_;
 
     // Serial provider hook before any lane touches rowSpan(): the
-    // procedural provider decodes this step's fired rows into its
-    // hot-row cache here, where mutation is single-threaded.
-    if (mat_ == nullptr && !fired.empty())
+    // procedural provider decodes this step's fired rows here, where
+    // mutation is single-threaded.
+    if (mat_ == nullptr)
         conn_->prepareStep(fired);
 
     // Dense/sparse decision for the consumed slot, per shard:
@@ -598,7 +611,7 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     bool anyDense = false;
     for (size_t s = 0; s < shards; ++s) {
         const uint64_t cost =
-            stimTouch(slotIdx, s).cost() + touch(slotIdx, s).cost();
+            cellTouch(slotIdx, s).cost() + touch(slotIdx, s).cost();
         totalCost += cost;
         laneDense_[s] = cost >= shardClearBudget_[s] ? 1 : 0;
         anyDense = anyDense || laneDense_[s] != 0;
@@ -646,7 +659,7 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     activeShards_.clear();
     for (size_t s = 0; s < shards; ++s) {
         const bool clearWork =
-            stimTouch(slotIdx, s).cost() + touch(slotIdx, s).cost() >
+            cellTouch(slotIdx, s).cost() + touch(slotIdx, s).cost() >
             0;
         if (clearWork || routeMask_[s] != 0)
             activeShards_.push_back(static_cast<uint32_t>(s));
@@ -663,6 +676,7 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
             const size_t slot = (t + d) % ringDepth_;
             slotBase_[d] = ring_.data() + slot * slotSize_;
             touchBase_[d] = touched_.data() + slot * shards;
+            cellTouchBase_[d] = cellTouched_.data() + slot * shards;
         }
     }
 
@@ -827,7 +841,7 @@ SpikeRouter::saveState(std::ostream &os) const
     os << '\n';
     for (const TouchList &list : touched_)
         writeTouchList(os, list);
-    for (const TouchList &list : stimTouched_)
+    for (const TouchList &list : cellTouched_)
         writeTouchList(os, list);
     os << "counters " << events_ << ' ' << denseClears_ << ' '
        << sparseClears_ << ' ' << cellsCleared_ << ' '
@@ -852,7 +866,7 @@ SpikeRouter::loadState(std::istream &is)
     readRingRle(is, ring_);
     for (TouchList &list : touched_)
         readTouchList(is, list);
-    for (TouchList &list : stimTouched_)
+    for (TouchList &list : cellTouched_)
         readTouchList(is, list);
     is >> tag >> events_ >> denseClears_ >> sparseClears_ >>
         cellsCleared_ >> shardsSkipped_ >> bucketsVisited_;
@@ -866,7 +880,7 @@ SpikeRouter::reset()
     std::fill(ring_.begin(), ring_.end(), 0.0);
     for (TouchList &list : touched_)
         list.clear();
-    for (TouchList &list : stimTouched_)
+    for (TouchList &list : cellTouched_)
         list.clear();
     events_ = 0;
     denseClears_ = 0;

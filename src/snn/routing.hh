@@ -54,12 +54,12 @@
  *
  * SpikeRouter owns the delay ring on top of the table and makes ring
  * maintenance activity-proportional: each (slot, shard) tracks what
- * was written into it (stimulus cells and routed (bucket, source)
- * rows), and the consumed slot is cleared by undoing only those
- * writes when activity is sparse, falling back to a dense std::fill
- * above a per-shard density threshold — quiet steps and quiet shards
- * of large networks no longer pay O(numNeurons * maxSynapseTypes)
- * per step.
+ * was written into it (stimulus cells, cells delivered from decoded
+ * rows, and record spans of routed table rows), and the consumed
+ * slot is cleared by undoing only those writes when activity is
+ * sparse, falling back to a dense std::fill above a per-shard
+ * density threshold — quiet steps and quiet shards of large networks
+ * no longer pay O(numNeurons * maxSynapseTypes) per step.
  */
 
 #ifndef FLEXON_SNN_ROUTING_HH
@@ -321,8 +321,7 @@ class SpikeRouter
         return conn_->connectivityBytes();
     }
 
-    /** Hot-row cache telemetry (non-zero for procedural only). */
-    uint64_t rowCacheHits() const { return conn_->rowCacheHits(); }
+    /** Rows the procedural provider decoded for delivery. */
     uint64_t rowCacheMisses() const
     {
         return conn_->rowCacheMisses();
@@ -355,7 +354,7 @@ class SpikeRouter
     void
     noteStimulus(uint64_t t, uint32_t cell)
     {
-        stimTouch(t % ringDepth_, conn_->shardOfCell(cell))
+        cellTouch(t % ringDepth_, conn_->shardOfCell(cell))
             .add(cell, 1);
     }
 
@@ -374,7 +373,7 @@ class SpikeRouter
 
     /**
      * Pending-write load across the whole delay ring: the summed
-     * undo cost of every routed and stimulus touch list. Duplicate
+     * undo cost of every routed and cell touch list. Duplicate
      * writes to one cell count each time, so the value can exceed
      * the cell count of the ring — callers comparing it against
      * ringDepth() * slotSize() should clamp. Health sweeps use it as
@@ -386,7 +385,7 @@ class SpikeRouter
         uint64_t total = 0;
         for (const TouchList &list : touched_)
             total += list.cost();
-        for (const TouchList &list : stimTouched_)
+        for (const TouchList &list : cellTouched_)
             total += list.cost();
         return total;
     }
@@ -421,8 +420,8 @@ class SpikeRouter
     /**
      * Checkpoint the router's dynamic state: the delay ring (runs of
      * exact +0.0 run-length encoded as `zN` tokens — quiet slots
-     * dominate the ring), every per-(slot, shard) routed and
-     * stimulus touch list, and the event/clear/skip counters. The
+     * dominate the ring), every per-(slot, shard) routed and cell
+     * touch list, and the event/clear/skip counters. The
      * touch lists are part of correctness, not just telemetry: a
      * restored ring without its pending-write tracking would let a
      * sparse clear miss stale cells. Saturated lists round trip as
@@ -462,7 +461,9 @@ class SpikeRouter
      * lane's scratch buffer. Runs arrive in the same source-major
      * shape (ascending-bucket runs per fired source, ascending
      * source scan), so additions per ring cell keep the identical
-     * order as the materialized walks.
+     * order as the materialized walks. Every written cell is
+     * recorded in the slot's cell list, so the clear never decodes
+     * the row again.
      */
     void laneRouteRows(uint64_t t, size_t shard,
                        std::span<const uint32_t> fired);
@@ -479,13 +480,13 @@ class SpikeRouter
         return touched_[slotIdx * shards_ + shard];
     }
 
-    TouchList &stimTouch(size_t slotIdx, size_t shard)
+    TouchList &cellTouch(size_t slotIdx, size_t shard)
     {
-        return stimTouched_[slotIdx * shards_ + shard];
+        return cellTouched_[slotIdx * shards_ + shard];
     }
-    const TouchList &stimTouch(size_t slotIdx, size_t shard) const
+    const TouchList &cellTouch(size_t slotIdx, size_t shard) const
     {
-        return stimTouched_[slotIdx * shards_ + shard];
+        return cellTouched_[slotIdx * shards_ + shard];
     }
 
     std::unique_ptr<ConnectivityProvider> conn_;
@@ -507,14 +508,21 @@ class SpikeRouter
      * visited bucket.
      */
     std::vector<TouchList *> touchBase_;
+    /** cellTouched_ row per delay, alongside touchBase_. */
+    std::vector<TouchList *> cellTouchBase_;
     /**
-     * Per (slot, shard): routed writes pending in that slot, as
-     * packed (bucket << 32 | source) keys with row-length cost —
-     * or record-range keys from the sparse loops (see routing.cc).
+     * Per (slot, shard): materialized-table writes pending in that
+     * slot, as record-range keys from the sparse loops or packed
+     * (bucket << 32 | source) keys from the bucket scan, each with
+     * row-length cost (see routing.cc).
      */
     std::vector<TouchList> touched_;
-    /** Per (slot, shard): stimulus cells pending in that slot. */
-    std::vector<TouchList> stimTouched_;
+    /**
+     * Per (slot, shard): single cells pending in that slot, one unit
+     * of cost each — stimulus writes, imported ring cells and every
+     * cell delivered from a decoding provider's rows.
+     */
+    std::vector<TouchList> cellTouched_;
     /** Per-shard event tallies (reduced after the barrier). */
     std::vector<uint64_t> laneEvents_;
     /** Per-shard bucket-visit tallies (reduced after the barrier). */

@@ -449,10 +449,10 @@ SimulationSession::printStats(std::ostream &os) const
          "connectivity bytes per synapse");
     line("engine.row_cache_hits",
          static_cast<double>(view.rowCacheHits),
-         "procedural hot-row cache hits");
+         "rows served without decoding (always 0)");
     line("engine.row_cache_misses",
          static_cast<double>(view.rowCacheMisses),
-         "procedural hot-row cache misses (rows decoded)");
+         "procedural rows decoded for delivery");
     line("engine.ring_dense_clears",
          static_cast<double>(view.ringDenseClears),
          "ring-slot clears via dense fill");

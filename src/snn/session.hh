@@ -133,15 +133,18 @@ struct PhaseStats
     uint64_t routingTableBytes = 0;
     /**
      * Total connectivity footprint: the delivery provider's bytes
-     * (routing table, compressed blobs or hot-row cache) plus the
-     * network's own synapse storage (CSR + row geometry + overlay).
+     * (routing table, compressed blobs or one step's decoded rows)
+     * plus the network's own synapse storage (CSR + row geometry +
+     * overlay).
      */
     uint64_t connectivityBytes = 0;
     /** connectivityBytes / network synapses (0 when no synapses). */
     double bytesPerSynapse = 0.0;
-    /** Procedural hot-row cache hits (fired-row lookups). */
+    /** Rows served without decoding; always 0 (kept for the report
+     *  schema: no provider keeps rows across steps). */
     uint64_t rowCacheHits = 0;
-    /** Procedural hot-row cache misses (rows decoded). */
+    /** Procedural rows decoded for delivery (one per fired source
+     *  per step). */
     uint64_t rowCacheMisses = 0;
     /** Ring-slot clears done densely (std::fill over the slot). */
     uint64_t ringDenseClears = 0;

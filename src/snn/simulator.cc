@@ -99,7 +99,7 @@ Simulator::refreshEngineStats(PhaseStats &view) const
             : 0;
     view.connectivityBytes = router_->connectivityBytes() +
                              network().connectivityBytes();
-    view.rowCacheHits = router_->rowCacheHits();
+    view.rowCacheHits = 0; // no provider keeps rows across steps
     view.rowCacheMisses = router_->rowCacheMisses();
     view.ringDenseClears = router_->denseClears();
     view.ringSparseClears = router_->sparseClears();

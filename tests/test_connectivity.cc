@@ -57,6 +57,18 @@ microcircuit(bool procedural)
 }
 
 RunResult
+resultOf(const Simulator &sim)
+{
+    RunResult result;
+    result.spikeCounts = sim.spikeCounts();
+    result.events = sim.spikeEvents();
+    result.spikes = sim.stats().spikes;
+    result.synapseEvents = sim.stats().synapseEvents;
+    result.connectivityBytes = sim.stats().connectivityBytes;
+    return result;
+}
+
+RunResult
 runWith(const Network &net, const StimulusGenerator &stim,
         ConnectivityKind kind, size_t threads, uint64_t steps)
 {
@@ -66,14 +78,7 @@ runWith(const Network &net, const StimulusGenerator &stim,
     opts.connectivity = kind;
     Simulator sim(net, stim, opts);
     sim.run(steps);
-
-    RunResult result;
-    result.spikeCounts = sim.spikeCounts();
-    result.events = sim.spikeEvents();
-    result.spikes = sim.stats().spikes;
-    result.synapseEvents = sim.stats().synapseEvents;
-    result.connectivityBytes = sim.stats().connectivityBytes;
-    return result;
+    return resultOf(sim);
 }
 
 void
@@ -177,6 +182,53 @@ csrHash(const Network &net)
     return h;
 }
 
+/**
+ * A small spec that reaches every generator branch: a p = 1
+ * Bernoulli projection (with an autapse to skip), a p < 1 one and a
+ * fixed fanout. A p = 1 row's length and targets take no draws, so
+ * its few synapses get delays from a wide range of their own: a
+ * geometry pass that skips the weight draws wrongly shows up in
+ * delaysUsed() and maxDelay().
+ */
+Network
+allBranches(bool procedural)
+{
+    const NeuronParams params =
+        vogelsAbbott(false).network.population(0).params;
+    Network net;
+    net.addPopulation("a", params, 37);
+    net.addPopulation("b", params, 23);
+    ConnectivitySpec spec;
+    spec.seed = 11;
+    const auto project = [&](Projection::Rule rule, uint32_t srcBase,
+                             uint32_t srcCount, uint32_t dstBase,
+                             uint32_t dstCount, double probability,
+                             uint32_t fanout, double weight,
+                             uint8_t delayMin, uint8_t delayMax) {
+        Projection p;
+        p.rule = rule;
+        p.srcBase = srcBase;
+        p.srcCount = srcCount;
+        p.dstBase = dstBase;
+        p.dstCount = dstCount;
+        p.probability = probability;
+        p.fanout = fanout;
+        p.weightMean = weight;
+        p.delayMin = delayMin;
+        p.delayMax = delayMax;
+        p.type = weight < 0.0 ? 1 : 0;
+        spec.projections.push_back(p);
+    };
+    project(Projection::Rule::Bernoulli, 0, 3, 0, 5, 1.0, 0, 0.2, 10,
+            250);
+    project(Projection::Rule::Bernoulli, 37, 23, 0, 60, 0.3, 0, -0.5,
+            1, 6);
+    project(Projection::Rule::FixedFanout, 0, 60, 37, 23, 0.0, 9, 0.1,
+            1, 6);
+    net.buildFromSpec(spec, procedural);
+    return net;
+}
+
 TEST(ConnectivitySpec, SpecBuildsMatchAcrossStorageModes)
 {
     // Fixed fanout (microcircuit) and Bernoulli (Vogels-Abbott): the
@@ -193,6 +245,12 @@ TEST(ConnectivitySpec, SpecBuildsMatchAcrossStorageModes)
     BenchmarkInstance vaProc = vogelsAbbott(true);
     expectSameRealization(vaMat.network, vaProc.network);
     expectSameRealization(vaMat.network, streamedCopy(vaProc.network));
+
+    // Every generator branch, p = 1 Bernoulli included.
+    const Network allMat = allBranches(false);
+    const Network allProc = allBranches(true);
+    expectSameRealization(allMat, allProc);
+    expectSameRealization(allMat, streamedCopy(allProc));
 
     // Golden: any change to the generator's draw sequence or to the
     // realization shows up here.
@@ -372,6 +430,63 @@ TEST(ConnectivityCheckpoint, ProceduralRoundTripIsBitExact)
     float w = 0.0f;
     ASSERT_TRUE(c.network.overlayWeight(5, w));
     EXPECT_EQ(w, 0.123f);
+}
+
+TEST(ConnectivityCheckpoint, LegacyUndoKeysRestoreIntoDecodingProvider)
+{
+    // The materialized bucket scan (sparse delivery off) leaves
+    // (bucket << 32 | source) undo keys in the snapshot. A
+    // procedural session undoes them by decoding the row again — the
+    // only row re-decode left in the ring clear.
+    const uint64_t total = 500, split = 250;
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+        SimulatorOptions opts;
+        opts.threads = threads;
+        opts.recordSpikes = true;
+
+        BenchmarkInstance a = vogelsAbbott(false);
+        Simulator full(a.network, a.stimulus, opts);
+        full.run(total);
+
+        SimulatorOptions scanOpts = opts;
+        scanOpts.sparseDelivery = false;
+        BenchmarkInstance b = vogelsAbbott(false);
+        std::stringstream snapshot;
+        {
+            Simulator first(b.network, b.stimulus, scanOpts);
+            first.run(split);
+            first.saveCheckpoint(snapshot);
+        }
+        // The routed touch lists come first in the router block; at
+        // least one must hold a legacy key (bit 63 clear).
+        bool legacyKey = false;
+        {
+            std::istringstream text(snapshot.str());
+            std::string line;
+            while (std::getline(text, line) && !legacyKey) {
+                if (line.rfind("touch ", 0) != 0)
+                    continue;
+                std::istringstream fields(line.substr(6));
+                uint64_t cost = 0, key = 0;
+                size_t count = 0;
+                fields >> cost >> count;
+                for (size_t k = 0; k < count && fields >> key; ++k)
+                    legacyKey = legacyKey || (key >> 63) == 0;
+            }
+        }
+        ASSERT_TRUE(legacyKey) << "threads " << threads;
+
+        SimulatorOptions procOpts = opts;
+        procOpts.connectivity = ConnectivityKind::Procedural;
+        BenchmarkInstance c = vogelsAbbott(true);
+        Simulator second(c.network, c.stimulus, procOpts);
+        second.loadCheckpoint(snapshot, &c.network);
+        EXPECT_EQ(second.restoredStep(), split);
+        second.run(total - split);
+
+        SCOPED_TRACE(threads);
+        expectIdentical(resultOf(full), resultOf(second));
+    }
 }
 
 TEST(ConnectivityCheckpoint, ReadsVersion2Snapshots)

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <vector>
 
+#include "common/telemetry.hh"
 #include "common/thread_pool.hh"
 #include "nets/table1.hh"
 #include "snn/simulator.hh"
@@ -106,6 +108,35 @@ TEST(ThreadPool, ForEachLaneRunsEveryLaneOnce)
         6, [&](size_t lane) { hits[lane].fetch_add(1); });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, LaneAccountingNeedsNoDetailTelemetry)
+{
+    // Pool efficiency is visible without --telemetry: dispatches and
+    // lane busy time are counted with the detail gate off.
+    const telemetry::TelemetryConfig saved = telemetry::config();
+    telemetry::TelemetryConfig off = saved;
+    off.detail = false;
+    telemetry::configure(off);
+    ThreadPool &pool = ThreadPool::global();
+    pool.resetTelemetry();
+    std::vector<double> values(1 << 16, 1.0);
+    std::atomic<uint64_t> total{0};
+    pool.parallelFor(values.size(), 4,
+                     [&](size_t, size_t begin, size_t end) {
+                         double sum = 0.0;
+                         for (size_t i = begin; i < end; ++i)
+                             sum += std::sqrt(values[i] + i);
+                         total.fetch_add(sum > 0.0 ? end - begin : 0);
+                     });
+    const ThreadPool::TelemetrySnapshot snap =
+        pool.telemetrySnapshot();
+    telemetry::configure(saved);
+    EXPECT_EQ(total.load(), values.size());
+    EXPECT_GT(snap.dispatches, 0u);
+    EXPECT_GT(snap.busyNs, 0u);
+    EXPECT_GT(snap.wallNs, 0u);
+    EXPECT_EQ(snap.chunks, 4u);
 }
 
 TEST(ThreadPool, NestedDispatchRunsInline)
